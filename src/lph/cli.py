@@ -430,8 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", help="system input file")
         p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $LPH_SEED or 0)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--threads", type=_positive_int, default=1,
-                       help="cap on concurrent path tracking")
         p.add_argument("--newton-tol", type=_positive_float, default=1e-10)
         p.add_argument("--tau-imag", type=_positive_float, default=1e-6)
         p.add_argument("--dedup-tol", type=_positive_float, default=1e-6)

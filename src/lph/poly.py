@@ -14,6 +14,8 @@ import numpy as np
 
 # Coefficients below this magnitude are treated as arithmetic noise.
 COEFF_DROP = 1e-14
+# Largest degree of a parsed power base^e.
+MAX_POWER_DEGREE = 32
 
 
 class ParseError(ValueError):
@@ -373,10 +375,14 @@ class _PolyParser:
         if tok and tok[0] == "op" and tok[1] == "^":
             self.i += 1
             tok = self.peek()
-            if tok is None or tok[0] != "num" or tok[1] != int(tok[1]):
+            if tok is None or tok[0] != "num" or not tok[1].is_integer():
                 self.error("exponent must be a non-negative integer")
-            self.i += 1
             e = int(tok[1])
+            # base^e is expanded by e multiplications (a constant base
+            # counts as degree 1), so cap its degree before expanding
+            if e * max(base.degree, 1) > MAX_POWER_DEGREE:
+                self.error(f"power of degree above {MAX_POWER_DEGREE}")
+            self.i += 1
             out = MultiPoly.constant(n_vars, 1.0)
             for _ in range(e):
                 out = out * base

@@ -2,7 +2,10 @@
 H(z, t) = (1 - t) * G(z) + gamma * t * F(z) from t = 0 to t = 1.
 
 The predictor is explicit Euler on the Davidenko ODE; the corrector is a
-full Newton iteration at fixed t.  Paths end in one of three states:
+full Newton iteration at fixed t.  A pair evaluates G, F and both
+Jacobians from one shared ``MonomialTable``, and the tangent computed to
+check an accepted step is the next step's predictor.  Paths end in one of
+three states:
 Converged (finite endpoint, refined at t = 1), Divergent (left every
 bounded region), or Failed (tracking broke down at bounded norm).
 """
@@ -30,66 +33,112 @@ class InvalidStartError(ValueError):
     pass
 
 
+class MonomialTable:
+    """The distinct monomials of one or more polynomial systems in the same
+    variables, evaluated once per point.
+
+    Evaluators register their monomials (``columns``) and read the values
+    back as one vector (``monomials``, ``abs_monomials``).  A point's
+    monomials come from a per-variable power table by one gather and one
+    product, and the last point's vector is kept: the evaluators of a
+    homotopy sharing one table evaluate each point once.  The kept vector
+    depends on the point's bytes alone, so results never depend on the
+    order of calls.
+    """
+
+    def __init__(self, n_vars: int):
+        self.n_vars = n_vars
+        self._column: dict = {}
+        self._exps: list = []
+        self._gather = None
+        self._key = None
+
+    def __len__(self):
+        return len(self._exps)
+
+    def columns(self, exps: np.ndarray) -> np.ndarray:
+        """Column of each exponent row of ``exps``, adding new monomials."""
+        cols = []
+        for e in map(tuple, exps.tolist()):
+            col = self._column.get(e)
+            if col is None:
+                col = self._column[e] = len(self._exps)
+                self._exps.append(e)
+            cols.append(col)
+        self._gather = None
+        self._key = None
+        return np.array(cols, dtype=np.intp)
+
+    def monomials(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        key = z.tobytes()
+        if key != self._key:
+            if self._gather is None:
+                exps = np.array(self._exps, dtype=np.intp).reshape(-1, self.n_vars)
+                width = int(exps.max()) + 1 if exps.size else 1
+                self._exponents = np.arange(width)
+                # (n_vars, n_monomials) indices into the flattened power table
+                self._gather = exps.T + width * np.arange(self.n_vars)[:, None]
+            powers = z[:, None] ** self._exponents
+            self._mono = powers.ravel()[self._gather].prod(axis=0)
+            self._abs = None
+            self._key = key
+        return self._mono
+
+    def abs_monomials(self, z: np.ndarray) -> np.ndarray:
+        mono = self.monomials(z)
+        if self._abs is None:
+            self._abs = np.abs(mono)
+        return self._abs
+
+
 class SystemEvaluator:
     """Compiled evaluator for a square polynomial system and its Jacobian.
 
-    All terms of all polynomials (and of all Jacobian entries) are packed
-    into flat exponent/coefficient arrays so one call does one vectorized
-    power evaluation.
+    The values, the Jacobian entries and the magnitudes are small dense
+    coefficient matrices applied to the monomial vector of a
+    ``MonomialTable``, which may be shared with other evaluators in the
+    same variables (a homotopy's start and target systems share one).
     """
 
-    def __init__(self, system: PolySystem):
-        self.n_vars = system.n_vars
+    def __init__(self, system: PolySystem, table: Optional[MonomialTable] = None):
+        n = self.n_vars = system.n_vars
         self.n_polys = len(system)
-        self._val_exps, self._val_coeffs, self._val_idx = self._pack(
-            [(i, p) for i, p in enumerate(system.polys)]
-        )
-        jac_entries = []
+        self._table = table if table is not None else MonomialTable(n)
+        # (row, monomial columns, coefficients) of the nonzero entries
+        val, jac = [], []
         for i, p in enumerate(system.polys):
-            for j in range(system.n_vars):
-                jac_entries.append((i * system.n_vars + j, p.differentiate(j)))
-        self._jac_exps, self._jac_coeffs, self._jac_idx = self._pack(jac_entries)
+            val.append((i, self._table.columns(p.exps), p.coeffs))
+            # d/dz_j of c * z^e is e_j * c * z^(e - u_j)
+            for j in range(n):
+                live = p.exps[:, j] > 0
+                shifted = p.exps[live] - np.eye(n, dtype=p.exps.dtype)[j]
+                jac.append((i * n + j, self._table.columns(shifted),
+                            p.exps[live, j] * p.coeffs[live]))
+        self._width = len(self._table)
+        self._vals = self._dense(val, self.n_polys)
+        self._abs_vals = np.abs(self._vals)
+        self._jac = self._dense(jac, self.n_polys * n)
 
-    @staticmethod
-    def _pack(indexed_polys):
-        exps, coeffs, idx = [], [], []
-        for slot, p in indexed_polys:
-            if p.is_zero:
-                continue
-            exps.append(p.exps)
-            coeffs.append(p.coeffs)
-            idx.append(np.full(len(p.coeffs), slot, dtype=np.int64))
-        if not exps:
-            nv = indexed_polys[0][1].n_vars if indexed_polys else 0
-            return (
-                np.zeros((0, nv), dtype=np.int64),
-                np.zeros(0, dtype=complex),
-                np.zeros(0, dtype=np.int64),
-            )
-        return np.vstack(exps), np.concatenate(coeffs), np.concatenate(idx)
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_polys, dtype=complex)
-        if len(self._val_coeffs):
-            mono = np.prod(z[None, :] ** self._val_exps, axis=1)
-            np.add.at(out, self._val_idx, self._val_coeffs * mono)
+    def _dense(self, entries, n_rows: int) -> np.ndarray:
+        out = np.zeros((n_rows, self._width), dtype=complex)
+        for row, cols, coeffs in entries:
+            out[row, cols] = coeffs
         return out
 
+    def values(self, z: np.ndarray) -> np.ndarray:
+        return self._vals @ self._table.monomials(z)[: self._width]
+
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_polys * self.n_vars, dtype=complex)
-        if len(self._jac_coeffs):
-            mono = np.prod(z[None, :] ** self._jac_exps, axis=1)
-            np.add.at(out, self._jac_idx, self._jac_coeffs * mono)
-        return out.reshape(self.n_polys, self.n_vars)
+        mono = self._table.monomials(z)[: self._width]
+        return (self._jac @ mono).reshape(self.n_polys, self.n_vars)
 
     def magnitude(self, z: np.ndarray) -> float:
         """Max over polynomials of sum_t |c_t| * |z|^e_t: the scale against
         which the evaluation round-off floor is set."""
-        out = np.zeros(self.n_polys, dtype=float)
-        if len(self._val_coeffs):
-            mono = np.prod(np.abs(z)[None, :] ** self._val_exps, axis=1)
-            np.add.at(out, self._val_idx, np.abs(self._val_coeffs) * mono)
-        return float(out.max()) if self.n_polys else 0.0
+        if not self.n_polys:
+            return 0.0
+        return float((self._abs_vals @ self._table.abs_monomials(z)[: self._width]).max())
 
 
 @dataclass
@@ -125,16 +174,25 @@ class HomotopyPair:
         self.target = target
         self.gamma = complex(gamma)
         self.n_vars = start.n_vars
-        self._g = SystemEvaluator(start)
-        self._f = SystemEvaluator(target)
+        # one monomial table for G, F and their Jacobians; a pair whose start
+        # is its target (a plain Newton refinement) compiles it once
+        table = MonomialTable(self.n_vars)
+        self._g = SystemEvaluator(start, table)
+        self._f = self._g if target is start else SystemEvaluator(target, table)
 
     def eval_h(self, z: np.ndarray, t: float) -> np.ndarray:
+        if self._f is self._g:
+            return ((1 - t) + self.gamma * t) * self._g.values(z)
         return (1 - t) * self._g.values(z) + self.gamma * t * self._f.values(z)
 
     def eval_dh_dz(self, z: np.ndarray, t: float) -> np.ndarray:
+        if self._f is self._g:
+            return ((1 - t) + self.gamma * t) * self._g.jacobian(z)
         return (1 - t) * self._g.jacobian(z) + self.gamma * t * self._f.jacobian(z)
 
     def eval_dh_dt(self, z: np.ndarray) -> np.ndarray:
+        if self._f is self._g:
+            return (self.gamma - 1) * self._g.values(z)
         return self.gamma * self._f.values(z) - self._g.values(z)
 
     def target_values(self, z: np.ndarray) -> np.ndarray:
@@ -143,6 +201,8 @@ class HomotopyPair:
     def scale(self, z: np.ndarray, t: float) -> float:
         """Evaluation magnitude of H at (z, t); residual tolerances below
         roughly eps times this are not numerically meaningful."""
+        if self._f is self._g:
+            return ((1 - t) + abs(self.gamma) * t) * self._g.magnitude(z)
         return (1 - t) * self._g.magnitude(z) + abs(self.gamma) * t * self._f.magnitude(z)
 
 
@@ -259,6 +319,10 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
     step_cfg = replace(cfg, newton_max_iters=min(cfg.newton_max_iters, 2))
 
     in_tail = False
+    # tangent at (z, t): kept through a rejected step, where neither moves,
+    # and taken over from the angle check of an accepted step, which
+    # computed it at the new (z, t)
+    dz = None
     while t < t_tail:
         if steps_taken >= cfg.max_steps:
             return PathResult(FAILED, None, t, float("inf"), steps_taken)
@@ -273,8 +337,10 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
         # once the step is tiny the prediction is accurate and jumping is
         # not a concern, so give Newton its full budget and drop the guard
         tight = h > 1e-4
+        dz_next = None
         try:
-            dz = davidenko_rhs(H, z, t)
+            if dz is None:
+                dz = davidenko_rhs(H, z, t)
             z_pred = z + h * dz
             z_new = newton_correct(H, z_pred, t + h, step_cfg if tight else cfg)
             if tight:
@@ -292,14 +358,15 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
                 # tangent consistency: a rotation past 60 degrees in one
                 # step means either a hairpin the step cannot resolve or a
                 # hop onto a neighboring path, so halve and retry
-                dz_new = davidenko_rhs(H, z_new, t + h)
-                ok = _cos_angle(dz, dz_new) >= 0.5
+                dz_next = davidenko_rhs(H, z_new, t + h)
+                ok = _cos_angle(dz, dz_next) >= 0.5
         except (SingularMatrixError, NoConvergenceError):
             ok = False
         steps_taken += 1
         if ok:
             z = z_new
             t = t + h
+            dz = dz_next
             new_norm = float(np.abs(z).max())
             if new_norm > cfg.divergence_norm:
                 return PathResult(DIVERGENT, None, t, float("inf"), steps_taken)
@@ -312,10 +379,9 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
             successes = 0
             step = step / 2
             if step < cfg.min_step:
-                try:
-                    growing = float(np.abs(z + cfg.min_step * davidenko_rhs(H, z, t)).max()) > norm
-                except SingularMatrixError:
-                    growing = False
+                # no tangent here means it was singular
+                growing = dz is not None and float(
+                    np.abs(z + cfg.min_step * dz).max()) > norm
                 status = DIVERGENT if growing else FAILED
                 return PathResult(status, None, t, float("inf"), steps_taken)
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ def test_malformed_polynomial_exit_2_names_line(tmp_path, capsys):
     p.write_text("vars: x y\nf:\n  x^2 + @\nbeta: 1 0\n")
     assert main(["solve", str(p)]) == EXIT_PARSE
     assert "line 3" in capsys.readouterr().err
+
+
+def test_huge_power_exit_2_fast(tmp_path, capsys):
+    p = tmp_path / "power.lph"
+    p.write_text("vars: x y z\nf:\n  (x + y + z)^500\n")
+    t0 = time.perf_counter()
+    assert main(["bound", str(p)]) == EXIT_PARSE
+    assert time.perf_counter() - t0 < 1.0
+    assert "line 3" in capsys.readouterr().err
+    p.write_text("vars: x y z\nf:\n  (x + y + z)^3 - 1\n")
+    assert main(["bound", str(p)]) == EXIT_OK
 
 
 def test_missing_file_exit_2(capsys):

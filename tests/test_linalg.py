@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from lph.linalg import (
     InvalidBetaError,
     SingularMatrixError,
+    _eliminate,
+    _equilibrate,
     beta_normalizer,
     determinant,
     lu_factor,
@@ -126,3 +128,42 @@ def test_solve_multiply_back_property(n, seed):
     except SingularMatrixError:
         return
     assert np.abs(A @ x - b).max() < 1e-8 * max(1.0, np.abs(A).max())
+
+
+def _reference_rejects(A):
+    B, _, threshold = _equilibrate(A)
+    try:
+        _eliminate(B, threshold)
+    except SingularMatrixError:
+        return True
+    return False
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 10_000), st.floats(-16.0, -10.0))
+def test_singular_decision_matches_reference_elimination(n, seed, log_pivot):
+    # A = P L U with |L_ij| <= 1 and its smallest pivot swept across the
+    # threshold 1e-14 * ||A||, where the LAPACK bound and the hand
+    # elimination must agree
+    rng = np.random.default_rng(seed)
+    L = np.tril(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)), -1)
+    L = (L / np.maximum(np.abs(L), 1.0)) + np.eye(n)
+    U = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    P = np.eye(n)[rng.permutation(n)]
+    k = int(rng.integers(n))
+    U[k, k] = 0.0
+    norm = np.abs(P @ L @ U).sum(axis=1).max()
+    U[k, k] = 10.0 ** log_pivot * norm * np.exp(2j * np.pi * rng.random())
+    A = P @ L @ U
+    rejects = _reference_rejects(A)
+    try:
+        lu_factor(A)
+    except SingularMatrixError:
+        assert rejects
+        return
+    assert not rejects
+    b = rng.normal(size=n) + 1j * rng.normal(size=n)
+    x = lu_solve(A, b)
+    # normwise backward error
+    scale = np.abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(A @ x - b).max() <= 1e-12 * scale

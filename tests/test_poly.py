@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lph.poly import (
+    MAX_POWER_DEGREE,
     MultiPoly,
     ParseError,
     PolySystem,
@@ -123,6 +124,17 @@ def test_parse_error_reports_position():
 def test_parse_unknown_variable():
     with pytest.raises(ParseError):
         parse_poly("x + w", XY)
+
+
+def test_power_degree_cap():
+    p = parse_poly("(x + y + z)^3", XYZ)
+    assert p.degree == 3 and len(p.coeffs) == 10
+    assert parse_poly(f"x^{MAX_POWER_DEGREE}", XYZ).degree == MAX_POWER_DEGREE
+    for text in ("(x + y + z)^500", f"x^{MAX_POWER_DEGREE + 1}",
+                 f"(x^2)^{MAX_POWER_DEGREE // 2 + 1}", "2^1000", "x^1e400"):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text, XYZ)
+        assert exc.value.col == text.rindex("^") + 2
 
 
 def test_implicit_multiplication():

@@ -7,6 +7,7 @@ from lph.tracker import (
     DIVERGENT,
     HomotopyPair,
     InvalidStartError,
+    MonomialTable,
     NoConvergenceError,
     SystemEvaluator,
     TrackConfig,
@@ -26,17 +27,30 @@ def _pair(start_text, target_text, var_names, gamma=1.0):
     return HomotopyPair(start, target, gamma)
 
 
+def _shared_table_evaluator(f):
+    # registered after another system, so f's monomials are a mix of shared
+    # and new columns of the table
+    table = MonomialTable(f.n_vars)
+    SystemEvaluator(parse("x^3 - y\nx*y^2 + 1", XY), table)
+    return SystemEvaluator(f, table)
+
+
 def test_evaluator_matches_direct_evaluation():
     f = parse("x^2 + y^2 - 1\nx*y - 2", XY)
-    ev = SystemEvaluator(f)
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        z = rng.normal(size=2) + 1j * rng.normal(size=2)
-        assert np.allclose(ev.values(z), f.evaluate(z))
-        J = ev.jacobian(z)
-        for i, p in enumerate(f.polys):
-            for j in range(2):
-                assert J[i, j] == pytest.approx(p.differentiate(j).evaluate(z))
+    for ev in (SystemEvaluator(f), _shared_table_evaluator(f)):
+        rng = np.random.default_rng(2)
+        for _ in range(5):
+            z = rng.normal(size=2) + 1j * rng.normal(size=2)
+            assert np.allclose(ev.values(z), f.evaluate(z))
+            J = ev.jacobian(z)
+            for i, p in enumerate(f.polys):
+                for j in range(2):
+                    assert J[i, j] == pytest.approx(p.differentiate(j).evaluate(z))
+            magnitude = max(
+                float(np.abs(p.coeffs) @ np.prod(np.abs(z) ** p.exps, axis=1))
+                for p in f.polys
+            )
+            assert ev.magnitude(z) == pytest.approx(magnitude)
 
 
 def test_homotopy_boundaries():
@@ -163,6 +177,26 @@ def test_converged_residual_contract():
             res = track_path(H, np.array([sx, sy], dtype=complex), cfg)
             if res.status == CONVERGED:
                 assert res.residual <= 1e-8
+
+
+def test_path_result_does_not_depend_on_earlier_paths():
+    # the monomial table of a pair keeps the last point evaluated; a path's
+    # result must not depend on what the pair or another pair tracked before
+    def pair():
+        return _pair("x^2 - 1\ny^2 - 1", "x^2 - 5\ny^2 + x - 3", XY, gamma=0.28 + 0.96j)
+
+    starts = [np.array([sx, sy], dtype=complex) for sx in (1, -1) for sy in (1, -1)]
+    alone = track_path(pair(), starts[0])
+    H, other = pair(), _pair("x^2 - 1\ny - 1", "x^2 + y - 2\ny^2 - 3", XY, gamma=0.6 - 0.8j)
+    for z0 in starts[1:]:
+        track_path(H, z0)
+        track_path(other, np.array([z0[0], 1], dtype=complex))
+    # the last point the other pair sees is the next start point on H
+    newton_correct(other, starts[0], 0.0, TrackConfig())
+    again = track_path(H, starts[0])
+    assert alone.status == again.status == CONVERGED
+    assert alone.steps_taken == again.steps_taken
+    assert alone.endpoint.tobytes() == again.endpoint.tobytes()
 
 
 def test_config_validation():
