@@ -57,10 +57,11 @@ def _equilibrate(A):
     if n != m:
         raise ValueError("matrix must be square")
     absA = np.abs(A)
-    scales = absA.max(axis=1)
+    # initial=0.0 lets a 0x0 matrix through: no rows, norm 0
+    scales = absA.max(axis=1, initial=0.0)
     if not scales.all():
         raise SingularMatrixError("zero row")
-    norm = float((absA.sum(axis=1) / scales).max())
+    norm = float((absA.sum(axis=1) / scales).max(initial=0.0))
     return A / scales[:, None], scales, PIVOT_REL_TOL * max(norm, 1e-300)
 
 
@@ -93,7 +94,7 @@ def lu_factor(A) -> Factored:
         inverse = None
     # written so that a NaN bound falls through to the elimination
     if inverse is not None and (
-        float(np.abs(inverse).sum(axis=1).max()) * threshold * CERTIFY_MARGIN <= 1.0
+        float(np.abs(inverse).sum(axis=1).max(initial=0.0)) * threshold * CERTIFY_MARGIN <= 1.0
     ):
         return Factored(scales, inverse, None, None)
     lu, piv = _eliminate(B, threshold)

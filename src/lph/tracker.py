@@ -181,18 +181,12 @@ class HomotopyPair:
         self._f = self._g if target is start else SystemEvaluator(target, table)
 
     def eval_h(self, z: np.ndarray, t: float) -> np.ndarray:
-        if self._f is self._g:
-            return ((1 - t) + self.gamma * t) * self._g.values(z)
         return (1 - t) * self._g.values(z) + self.gamma * t * self._f.values(z)
 
     def eval_dh_dz(self, z: np.ndarray, t: float) -> np.ndarray:
-        if self._f is self._g:
-            return ((1 - t) + self.gamma * t) * self._g.jacobian(z)
         return (1 - t) * self._g.jacobian(z) + self.gamma * t * self._f.jacobian(z)
 
     def eval_dh_dt(self, z: np.ndarray) -> np.ndarray:
-        if self._f is self._g:
-            return (self.gamma - 1) * self._g.values(z)
         return self.gamma * self._f.values(z) - self._g.values(z)
 
     def target_values(self, z: np.ndarray) -> np.ndarray:
@@ -201,8 +195,6 @@ class HomotopyPair:
     def scale(self, z: np.ndarray, t: float) -> float:
         """Evaluation magnitude of H at (z, t); residual tolerances below
         roughly eps times this are not numerically meaningful."""
-        if self._f is self._g:
-            return ((1 - t) + abs(self.gamma) * t) * self._g.magnitude(z)
         return (1 - t) * self._g.magnitude(z) + abs(self.gamma) * t * self._f.magnitude(z)
 
 

@@ -60,6 +60,12 @@ def test_non_square_raises():
         lu_factor(np.ones((2, 3)))
 
 
+def test_empty_matrix():
+    x = lu_solve(np.zeros((0, 0)), np.zeros(0))
+    assert x.shape == (0,)
+    assert determinant(np.zeros((0, 0))) == 1
+
+
 def _cofactor_det(A):
     n = A.shape[0]
     if n == 1:
