@@ -1,66 +1,30 @@
 """Linear-product homotopy continuation for structured polynomial systems
-and real witness set computation."""
+and real witness set computation.
 
-from .linalg import (
-    InvalidBetaError,
-    SingularMatrixError,
-    beta_normalizer,
-    determinant,
-    lu_solve,
-)
-from .poly import (
-    Monomial,
-    MultiPoly,
-    ParseError,
-    PolySystem,
-    jacobian_transpose,
-    parse,
-    parse_poly,
-)
-from .solver import (
-    ChoiceIndex,
-    LinearProductG,
-    LPHProblem,
-    LPHResult,
-    NormalizedProblem,
-    backsolve_lambda,
-    build_G,
-    enumerate_choices,
-    h1_track,
-    lph_solve,
-    normalize,
-    root_bound,
-)
-from .start_systems import (
-    SlicedSystem,
-    TotalDegreeStart,
-    random_slice,
-    solve_square,
-    total_degree_roots,
-    witness_points,
-)
-from .tracker import (
-    CONVERGED,
-    DIVERGENT,
-    FAILED,
-    HomotopyPair,
-    PathResult,
-    TrackConfig,
-    davidenko_rhs,
-    homotopy_eval,
-    newton_correct,
-    track_path,
-)
-from .witness import (
-    RealFilterConfig,
-    RealWitnessSet,
-    WitnessPoint,
-    augment,
-    build_critical_system,
-    full_rank_check,
-    real_filter,
-    real_witness_set,
-    witness_bound,
-)
+The names below are the public API; everything else is reached through the
+submodules (``lph.poly``, ``lph.linalg``, ``lph.tracker``,
+``lph.start_systems``, ``lph.solver``, ``lph.witness``, ``lph.cli``).
+"""
+
+from .poly import MultiPoly, ParseError, PolySystem, jacobian_transpose, parse_poly
+from .solver import LPHProblem, LPHResult, lph_solve
+from .start_systems import solve_square
+from .tracker import track_path
+from .witness import RealWitnessSet, real_witness_set
+
+__all__ = [
+    "PolySystem",
+    "parse_poly",
+    "jacobian_transpose",
+    "LPHProblem",
+    "LPHResult",
+    "lph_solve",
+    "RealWitnessSet",
+    "real_witness_set",
+    "ParseError",
+    "MultiPoly",
+    "solve_square",
+    "track_path",
+]
 
 __version__ = "0.1.0"

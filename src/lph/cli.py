@@ -31,7 +31,13 @@ import numpy as np
 
 from .linalg import InvalidBetaError, SingularMatrixError
 from .poly import MultiPoly, ParseError, PolySystem, jacobian_transpose, parse_poly
-from .solver import DegreeZeroJacobianError, LPHProblem, lph_solve, root_bound
+from .solver import (
+    DegreeZeroJacobianError,
+    LPHProblem,
+    jacobian_degree,
+    lph_solve,
+    root_bound,
+)
 from .start_systems import AllPathsFailedError, witness_points
 from .tracker import NoConvergenceError, TrackConfig
 from .witness import RealFilterConfig, real_witness_set, witness_bound
@@ -325,7 +331,7 @@ def cmd_bound(args) -> int:
     if not (n > k >= 1):
         raise InputFormatError("bound requires k < n (an underdetermined f block)")
     J = inp.J if inp.J is not None else jacobian_transpose(inp.f)
-    d = max(max(entry.degree, 0) for row in J for entry in row)
+    d = jacobian_degree(J)
     d_f = max(max(p.degree, 1) for p in inp.f.polys)
     prod_deg = math.prod(max(p.degree, 1) for p in inp.f.polys)
     cfg = _track_config(args)

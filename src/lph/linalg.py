@@ -1,6 +1,6 @@
 """Dense complex linear algebra: row-equilibrated LU with a fixed singularity
-rule, determinants, and construction of the normalization matrix that maps
-a vector to e_n.
+rule, and construction of the normalization matrix that maps a vector to
+e_n.
 
 The singularity rule is that of a hand-written partial-pivot elimination
 (``_eliminate``): rows are scaled to unit max magnitude, and the matrix is
@@ -122,16 +122,6 @@ def lu_solve(A, b):
     if A.shape[0] != b.shape[0]:
         raise ValueError("dimension mismatch")
     return lu_solve_factored(lu_factor(A), b)
-
-
-def determinant(A) -> complex:
-    """det(A), or 0 when A is singular under the pivot rule."""
-    A = np.asarray(A, dtype=complex)
-    try:
-        lu_factor(A)
-    except SingularMatrixError:
-        return 0j
-    return complex(np.linalg.det(A))
 
 
 def beta_normalizer(beta) -> np.ndarray:

@@ -14,8 +14,12 @@ import numpy as np
 
 # Coefficients below this magnitude are treated as arithmetic noise.
 COEFF_DROP = 1e-14
-# Largest degree of a parsed power base^e.
+# Largest degree of a parsed power base^e (it bounds the number of
+# multiplications that expand it).
 MAX_POWER_DEGREE = 32
+# Largest number of term pairs one parsed product may multiply out (the
+# work of MultiPoly multiplication); checked before every product.
+MAX_PRODUCT_PAIRS = 20000
 
 
 class ParseError(ValueError):
@@ -311,6 +315,11 @@ class _PolyParser:
         col = tok[2] if tok else (self.tokens[-1][2] + 1 if self.tokens else 1)
         raise ParseError(msg, self.line, col)
 
+    def multiply(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+        if len(a.coeffs) * len(b.coeffs) > MAX_PRODUCT_PAIRS:
+            self.error(f"product of more than {MAX_PRODUCT_PAIRS} term pairs")
+        return a * b
+
     def parse(self, n_vars) -> MultiPoly:
         p = self.expression(n_vars)
         if self.peek() is not None:
@@ -341,10 +350,10 @@ class _PolyParser:
                 break
             if tok[0] == "op" and tok[1] == "*":
                 self.i += 1
-                prod = prod * self.factor(n_vars)
+                prod = self.multiply(prod, self.factor(n_vars))
             elif tok[0] == "ident" or (tok[0] == "op" and tok[1] == "("):
                 # implicit multiplication, e.g. "4x" or "2(x+1)"
-                prod = prod * self.factor(n_vars)
+                prod = self.multiply(prod, self.factor(n_vars))
             else:
                 break
         return prod
@@ -385,7 +394,7 @@ class _PolyParser:
             self.i += 1
             out = MultiPoly.constant(n_vars, 1.0)
             for _ in range(e):
-                out = out * base
+                out = self.multiply(out, base)
             return out
         return base
 

@@ -54,6 +54,27 @@ def root_bound(n: int, k: int, d: int, D: int) -> int:
     return math.comb(n - 1, n - k) * d ** (n - k) * D
 
 
+def jacobian_degree(J: List[List[MultiPoly]]) -> int:
+    """d: the largest total degree among the entries of J (0 if all are
+    constant or zero)."""
+    return max(max(entry.degree, 0) for row in J for entry in row)
+
+
+def _critical_system(f: PolySystem, J: List[List[MultiPoly]], rhs) -> PolySystem:
+    """{f, J * lambda - rhs} in the n + k variables (x, lambda), where f has
+    k polynomials in n variables and J has one row of k entries per
+    entry of rhs."""
+    n, k = f.n_vars, len(f)
+    N = n + k
+    polys = [p.lift(N) for p in f.polys]
+    for J_row, b in zip(J, rhs):
+        row = MultiPoly.constant(N, -b)
+        for j, entry in enumerate(J_row):
+            row = row + entry.lift(N) * MultiPoly.variable(n + j, N)
+        polys.append(row)
+    return PolySystem(N, polys)
+
+
 @dataclass
 class LPHProblem:
     """The triple (f, J, beta): k polynomials f in n variables, an n x k
@@ -83,20 +104,11 @@ class LPHProblem:
 
     @property
     def d(self) -> int:
-        return max(max(entry.degree, 0) for row in self.J for entry in row)
+        return jacobian_degree(self.J)
 
     def full_system(self) -> PolySystem:
         """The square (n+k)-dimensional system {f, J * lambda - beta}."""
-        n, k = self.n, self.k
-        N = n + k
-        polys = [p.lift(N) for p in self.f.polys]
-        for i in range(n):
-            row = MultiPoly.constant(N, -self.beta[i])
-            for j in range(k):
-                lam = MultiPoly.variable(n + j, N)
-                row = row + self.J[i][j].lift(N) * lam
-            polys.append(row)
-        return PolySystem(N, polys)
+        return _critical_system(self.f, self.J, self.beta)
 
 
 @dataclass
@@ -108,17 +120,9 @@ class NormalizedProblem:
     J_prime: List[List[MultiPoly]]
 
     def normalized_full_system(self) -> PolySystem:
-        n, k = self.original.n, self.original.k
-        N = n + k
-        polys = [p.lift(N) for p in self.original.f.polys]
-        for i in range(n):
-            row = MultiPoly.zero(N)
-            for j in range(k):
-                row = row + self.J_prime[i][j].lift(N) * MultiPoly.variable(n + j, N)
-            if i == n - 1:
-                row = row - 1
-            polys.append(row)
-        return PolySystem(N, polys)
+        """{f, J_prime * lambda - e_n}."""
+        e_n = np.eye(self.original.n)[-1]
+        return _critical_system(self.original.f, self.J_prime, e_n)
 
 
 def normalize(p: LPHProblem) -> NormalizedProblem:
@@ -175,7 +179,10 @@ def build_G(np_: NormalizedProblem, rng: np.random.Generator) -> LinearProductG:
     h_coeffs = np.array(
         [[unit_complex(rng) for _ in range(k)] for _ in range(n - 1)], dtype=complex
     )
-    polys = [q.lift(N) for q in p.f.polys]
+    g_last_row = np_.J_prime[n - 1]
+    # f and g_n = J_prime[n-1] * lambda - 1; the product rows go between
+    f_and_g_n = _critical_system(p.f, [g_last_row], [1.0]).polys
+    polys = f_and_g_n[:k]
     for i in range(n - 1):
         g = MultiPoly.constant(N, 1.0)
         for fac in l_x[i]:
@@ -184,11 +191,7 @@ def build_G(np_: NormalizedProblem, rng: np.random.Generator) -> LinearProductG:
         for j in range(k):
             h = h + h_coeffs[i, j] * MultiPoly.variable(n + j, N)
         polys.append(g * h)
-    g_last_row = np_.J_prime[n - 1]
-    g_n = MultiPoly.constant(N, -1.0)
-    for j in range(k):
-        g_n = g_n + g_last_row[j].lift(N) * MultiPoly.variable(n + j, N)
-    polys.append(g_n)
+    polys.extend(f_and_g_n[k:])
     return LinearProductG(n, k, d, l_x, h_coeffs, g_last_row, PolySystem(N, polys))
 
 

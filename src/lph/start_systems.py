@@ -11,16 +11,17 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_factor, lu_solve_factored
+# lu_factor is unused here; perfbench/test_perfbench.py checks that the
+# tracer wraps this binding of it too
+from .linalg import lu_factor  # noqa: F401
 from .poly import MultiPoly, PolySystem
 from .tracker import (
     CONVERGED,
     FAILED,
     HomotopyPair,
-    NoConvergenceError,
     PathResult,
     TrackConfig,
-    newton_correct,
+    refine_endpoint,
     track_path,
 )
 
@@ -105,29 +106,13 @@ def dedup_points(points, tol: float = DEDUP_TOL):
     return kept
 
 
-def refine_on(system: PolySystem, point: np.ndarray, tol: float = RESIDUAL_TOL,
-              max_iters: int = 20) -> Optional[np.ndarray]:
-    """Newton-polish a point against `system`; None if it does not reach tol."""
-    ident = HomotopyPair(system, system, 1.0)
-    cfg = TrackConfig(newton_tol=tol, newton_max_iters=max_iters)
-    try:
-        refined = newton_correct(ident, point, 1.0, cfg, polish=2)
-    except (SingularMatrixError, NoConvergenceError):
-        return None
-    scale = max(1.0, ident.scale(refined, 1.0))
-    if float(np.abs(system.evaluate(refined)).max()) > tol * scale:
-        return None
-    # same contraction test as endpoint refinement: reject points where the
-    # Newton step has not collapsed to round-off level
-    try:
-        step = lu_solve_factored(
-            lu_factor(ident.eval_dh_dz(refined, 1.0)), ident.eval_h(refined, 1.0)
-        )
-    except SingularMatrixError:
-        return None
-    if float(np.abs(step).max()) > 1e-6 * (1.0 + float(np.abs(refined).max())):
-        return None
-    return refined
+def refine_on(system: PolySystem, point: np.ndarray) -> Optional[np.ndarray]:
+    """Newton-polish a point against `system` under the tracker's
+    endpoint-acceptance rule at residual bound RESIDUAL_TOL; None if the
+    point is rejected."""
+    cfg = TrackConfig(newton_tol=RESIDUAL_TOL, newton_max_iters=20)
+    refined = refine_endpoint(HomotopyPair(system, system, 1.0), point, cfg, RESIDUAL_TOL)
+    return None if refined is None else refined[0]
 
 
 def solve_square(F: PolySystem, cfg: Optional[TrackConfig] = None,
@@ -165,7 +150,8 @@ def solve_square(F: PolySystem, cfg: Optional[TrackConfig] = None,
 
 def witness_points(f: PolySystem, rng: Optional[np.random.Generator] = None,
                    cfg: Optional[TrackConfig] = None):
-    """Witness points of V(f) on a random slice; returns (points, D)."""
+    """Witness points of V(f) on a random slice; returns (points, D, sliced)
+    with D = len(points) and sliced the SlicedSystem they solve."""
     rng = rng if rng is not None else np.random.default_rng(0)
     sliced = random_slice(f, rng)
     M = solve_square(sliced.square, cfg, rng)

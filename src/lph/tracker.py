@@ -141,23 +141,28 @@ class SystemEvaluator:
         return float((self._abs_vals @ self._table.abs_monomials(z)[: self._width]).max())
 
 
+# Step control: first, smallest and largest step in t.
+INITIAL_STEP = 0.05
+MIN_STEP = 1e-7
+MAX_STEP = 0.1
+# A path whose inf-norm passes this is Divergent.
+DIVERGENCE_NORM = 1e7
+# Endgame: from T_END on, steps are capped by half the remaining distance;
+# tracking stops at T_TAIL and the final Newton jump to t = 1 starts there.
+T_ENDGAME = 1e-3
+T_END = 1.0 - T_ENDGAME
+T_TAIL = 1.0 - 1e-5 * T_ENDGAME
+
+
 @dataclass
 class TrackConfig:
-    initial_step: float = 0.05
-    min_step: float = 1e-7
-    max_step: float = 0.1
     newton_tol: float = 1e-10
     newton_max_iters: int = 10
     max_steps: int = 10000
-    divergence_norm: float = 1e7
-    t_endgame: float = 1e-3
 
     def __post_init__(self):
-        if not (0 < self.min_step <= self.initial_step <= self.max_step < 1):
-            raise ValueError("require 0 < min_step <= initial_step <= max_step < 1")
-        for name in ("newton_tol", "t_endgame", "divergence_norm"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.newton_tol <= 0:
+            raise ValueError("newton_tol must be positive")
 
 
 class HomotopyPair:
@@ -205,13 +210,6 @@ class PathResult:
     t_reached: float
     residual: float
     steps_taken: int
-
-
-def homotopy_eval(H: HomotopyPair, z, t: float) -> np.ndarray:
-    z = np.asarray(z, dtype=complex)
-    if z.shape != (H.n_vars,):
-        raise ValueError("dimension mismatch")
-    return H.eval_h(z, t)
 
 
 def davidenko_rhs(H: HomotopyPair, z, t: float) -> np.ndarray:
@@ -264,19 +262,22 @@ def newton_correct(H: HomotopyPair, z, t: float, cfg: TrackConfig,
     return z
 
 
-def _refine_endpoint(H: HomotopyPair, z: np.ndarray, cfg: TrackConfig):
-    """Final Newton polish at t = 1; returns (point, residual) or None."""
+def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
+    """The endpoint-acceptance rule: Newton at t = 1 with two polish steps,
+    then the target residual must be at most tol * max(1, magnitude) and one
+    more Newton step must have contracted to round-off level.  Returns
+    (point, residual), or None when the point is rejected."""
     try:
         z1 = newton_correct(H, z, 1.0, cfg, polish=2)
     except (SingularMatrixError, NoConvergenceError):
         return None
     residual = float(np.abs(H.target_values(z1)).max())
-    scale = max(1.0, H._f.magnitude(z1))
-    if residual > 100 * cfg.newton_tol * scale:
+    if residual > tol * max(1.0, H._f.magnitude(z1)):
         return None
     # contraction check: at a regular root the Newton step is at round-off
-    # level, while a truncated diverging path keeps steps of order |z| even
-    # when the magnitude-scaled residual test passes
+    # level, while a truncated diverging path (or a point near a singular
+    # root) keeps steps of order |z| even when the magnitude-scaled residual
+    # test passes
     try:
         step = lu_solve_factored(
             lu_factor(H.eval_dh_dz(z1, 1.0)), H.eval_h(z1, 1.0)
@@ -297,11 +298,7 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
         raise InvalidStartError("start point does not satisfy the start system")
 
     t = 0.0
-    t_end = 1.0 - cfg.t_endgame
-    # Truncation point of the endgame tail; the final Newton jump to t = 1
-    # happens from here.
-    t_tail = 1.0 - 1e-5 * cfg.t_endgame
-    step = cfg.initial_step
+    step = INITIAL_STEP
     successes = 0
     steps_taken = 0
     norm = float(np.abs(z).max())
@@ -310,22 +307,19 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
     # step and halve instead.  The full budget is reserved for the endgame.
     step_cfg = replace(cfg, newton_max_iters=min(cfg.newton_max_iters, 2))
 
-    in_tail = False
     # tangent at (z, t): kept through a rejected step, where neither moves,
     # and taken over from the angle check of an accepted step, which
     # computed it at the new (z, t)
     dz = None
-    while t < t_tail:
+    while t < T_TAIL:
         if steps_taken >= cfg.max_steps:
             return PathResult(FAILED, None, t, float("inf"), steps_taken)
-        if not in_tail and t >= t_end:
-            in_tail = True
-        if in_tail:
+        if t >= T_END:
             # Geometric tail: cap the step by a fraction of the remaining
             # distance so far-away endpoints are followed, not jumped at.
-            h = min(step, 0.5 * (1.0 - t), t_tail - t)
+            h = min(step, 0.5 * (1.0 - t), T_TAIL - t)
         else:
-            h = min(step, t_end - t)
+            h = min(step, T_END - t)
         # once the step is tiny the prediction is accurate and jumping is
         # not a concern, so give Newton its full budget and drop the guard
         tight = h > 1e-4
@@ -346,7 +340,7 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
                 )
             else:
                 ok = True
-            if ok and h > 10 * cfg.min_step:
+            if ok and h > 10 * MIN_STEP:
                 # tangent consistency: a rotation past 60 degrees in one
                 # step means either a hairpin the step cannot resolve or a
                 # hop onto a neighboring path, so halve and retry
@@ -360,27 +354,27 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
             t = t + h
             dz = dz_next
             new_norm = float(np.abs(z).max())
-            if new_norm > cfg.divergence_norm:
+            if new_norm > DIVERGENCE_NORM:
                 return PathResult(DIVERGENT, None, t, float("inf"), steps_taken)
             norm = new_norm
             successes += 1
             if successes >= 3:
-                step = min(step * 1.5, cfg.max_step)
+                step = min(step * 1.5, MAX_STEP)
                 successes = 0
         else:
             successes = 0
             step = step / 2
-            if step < cfg.min_step:
+            if step < MIN_STEP:
                 # no tangent here means it was singular
                 growing = dz is not None and float(
-                    np.abs(z + cfg.min_step * dz).max()) > norm
+                    np.abs(z + MIN_STEP * dz).max()) > norm
                 status = DIVERGENT if growing else FAILED
                 return PathResult(status, None, t, float("inf"), steps_taken)
 
-    refined = _refine_endpoint(H, z, cfg)
+    refined = refine_endpoint(H, z, cfg, 100 * cfg.newton_tol)
     steps_taken += 1
     if refined is None:
-        status = DIVERGENT if float(np.abs(z).max()) > cfg.divergence_norm else FAILED
+        status = DIVERGENT if float(np.abs(z).max()) > DIVERGENCE_NORM else FAILED
         return PathResult(status, None, t, float("inf"), steps_taken)
     z1, residual = refined
     return PathResult(CONVERGED, z1, 1.0, residual, steps_taken)

@@ -25,7 +25,6 @@ REAL_RESIDUAL_TOL = 1e-6
 @dataclass
 class RealFilterConfig:
     tau_imag: float = 1e-6
-    refine: bool = True
 
     def __post_init__(self):
         if self.tau_imag <= 0:
@@ -82,21 +81,18 @@ def _real_newton(ev: SystemEvaluator, x: np.ndarray, max_iters: int = 20) -> Opt
 def real_filter(
     points, cfg: Optional[RealFilterConfig], square_system: PolySystem
 ) -> List[np.ndarray]:
-    """Keep near-real points, drop imaginary parts, optionally re-converge
-    with a real Newton iteration on the (real-coefficient) square system."""
+    """Keep near-real points, drop imaginary parts and re-converge with a
+    real Newton iteration on the (real-coefficient) square system."""
     cfg = cfg or RealFilterConfig()
-    ev = SystemEvaluator(square_system) if cfg.refine else None
+    ev = SystemEvaluator(square_system)
     out = []
     for z in points:
         z = np.asarray(z, dtype=complex)
         if np.abs(z.imag).max() >= cfg.tau_imag:
             continue
-        x = z.real.copy()
-        if cfg.refine:
-            x = _real_newton(ev, x)
-            if x is None:
-                continue
-        out.append(x)
+        x = _real_newton(ev, z.real.copy())
+        if x is not None:
+            out.append(x)
     return out
 
 
@@ -112,39 +108,16 @@ def witness_bound(n: int, k: int, d_f: int, D: int) -> int:
     )
 
 
-def numerical_rank(M: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """Rank by full-pivot Gaussian elimination with a relative threshold."""
-    M = np.array(M, dtype=complex)
-    if M.size == 0:
-        return 0
-    norm = float(np.abs(M).max())
-    if norm == 0:
-        return 0
-    rank = 0
-    while min(M.shape) > 0:
-        flat = int(np.argmax(np.abs(M)))
-        r, c = divmod(flat, M.shape[1])
-        if abs(M[r, c]) <= rel_tol * norm:
-            break
-        rank += 1
-        row = M[r] / M[r, c]
-        M = M - np.outer(M[:, c], row)
-        M = np.delete(np.delete(M, r, axis=0), c, axis=1)
-    return rank
-
-
 def full_rank_check(f: PolySystem, sample_points) -> List[dict]:
-    """Advisory Jacobian-rank report at sample points near V(f)."""
+    """Advisory Jacobian-rank report at sample points near V(f): the rank
+    counts singular values above 1e-8 times the largest."""
     k = len(f)
-    Jt = jacobian_transpose(f)
+    ev = SystemEvaluator(f)
     report = []
     for pt in sample_points:
         pt = np.asarray(pt, dtype=complex)
-        Jmat = np.array(
-            [[Jt[i][j].evaluate(pt) for i in range(f.n_vars)] for j in range(k)],
-            dtype=complex,
-        )
-        r = numerical_rank(Jmat)
+        s = np.linalg.svd(ev.jacobian(pt), compute_uv=False)
+        r = int((s > 1e-8 * s.max(initial=0.0)).sum())
         deficient = r < k
         if deficient:
             logger.warning("rank-deficient Jacobian (rank %d < %d) at sample", r, k)

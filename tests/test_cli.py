@@ -124,6 +124,19 @@ def test_huge_power_exit_2_fast(tmp_path, capsys):
     assert main(["bound", str(p)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("op", ["*", ""])
+def test_huge_product_exit_2_fast(tmp_path, capsys, op):
+    # each factor respects the degree cap; their product (1287 x 1287 term
+    # pairs) is what the parser refuses to expand
+    base = "(a + b + c + d + e + f)^8"
+    p = tmp_path / "product.lph"
+    p.write_text(f"vars: a b c d e f\nf:\n  {base}{op}{base}\n")
+    t0 = time.perf_counter()
+    assert main(["bound", str(p)]) == EXIT_PARSE
+    assert time.perf_counter() - t0 < 1.0
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_missing_file_exit_2(capsys):
     assert main(["solve", "/nonexistent/file.lph"]) == EXIT_PARSE
 

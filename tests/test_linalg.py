@@ -9,7 +9,6 @@ from lph.linalg import (
     _eliminate,
     _equilibrate,
     beta_normalizer,
-    determinant,
     lu_factor,
     lu_solve,
 )
@@ -63,37 +62,6 @@ def test_non_square_raises():
 def test_empty_matrix():
     x = lu_solve(np.zeros((0, 0)), np.zeros(0))
     assert x.shape == (0,)
-    assert determinant(np.zeros((0, 0))) == 1
-
-
-def _cofactor_det(A):
-    n = A.shape[0]
-    if n == 1:
-        return A[0, 0]
-    total = 0j
-    for j in range(n):
-        minor = np.delete(np.delete(A, 0, axis=0), j, axis=1)
-        total += (-1) ** j * A[0, j] * _cofactor_det(minor)
-    return total
-
-
-def test_determinant_identity():
-    assert determinant(np.eye(4)) == pytest.approx(1.0)
-
-
-def test_determinant_diagonal():
-    assert determinant(np.diag([2.0, 3j])) == pytest.approx(6j)
-
-
-def test_determinant_vs_cofactor_expansion():
-    rng = np.random.default_rng(5)
-    A = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    assert determinant(A) == pytest.approx(_cofactor_det(A), rel=1e-9)
-
-
-def test_determinant_singular_is_zero():
-    A = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert determinant(A) == 0
 
 
 def test_beta_normalizer_already_normalized():
@@ -115,7 +83,7 @@ def test_beta_normalizer_random_complex():
     e5 = np.zeros(5)
     e5[4] = 1.0
     assert np.abs(A @ beta - e5).max() < 1e-12
-    assert abs(determinant(A)) > 1e-12
+    assert abs(np.linalg.det(A)) > 1e-12
 
 
 def test_beta_normalizer_zero_rejected():

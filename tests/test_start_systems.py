@@ -5,6 +5,7 @@ import pytest
 
 from lph.poly import parse, parse_poly, PolySystem
 from lph.start_systems import (
+    RESIDUAL_TOL,
     TotalDegreeStart,
     ZeroPolynomialError,
     dedup_points,
@@ -15,6 +16,7 @@ from lph.start_systems import (
     unit_complex,
     witness_points,
 )
+from lph.tracker import HomotopyPair, TrackConfig, newton_correct
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -86,6 +88,17 @@ def test_dedup_points():
 def test_refine_on_rejects_non_roots():
     f = parse("x^2 + 1", ["x"])
     assert refine_on(f, np.array([50.0 + 0j])) is None
+
+
+def test_refine_on_rejects_points_newton_has_not_contracted():
+    # at the double root of (x - 1)^2 Newton only halves the error, so the
+    # residual test passes while the next Newton step is far above round-off
+    f = parse("x^2 - 2*x + 1", ["x"])
+    H = HomotopyPair(f, f, 1.0)
+    cfg = TrackConfig(newton_tol=RESIDUAL_TOL, newton_max_iters=20)
+    polished = newton_correct(H, np.array([1.001 + 0j]), 1.0, cfg, polish=2)
+    assert polished[0] == pytest.approx(1.00003125, abs=1e-12)
+    assert refine_on(f, np.array([1.001 + 0j])) is None
 
 
 def test_solve_square_quadratic():

@@ -7,7 +7,6 @@ from lph.witness import (
     augment,
     build_critical_system,
     full_rank_check,
-    numerical_rank,
     real_filter,
     real_witness_set,
     witness_bound,
@@ -51,7 +50,7 @@ def test_augment_recursion_reaches_square():
 
 def test_real_filter_threshold():
     square = parse("x - 1\ny - 2", XY)
-    cfg = RealFilterConfig(refine=False)
+    cfg = RealFilterConfig()
     kept = real_filter([np.array([1 + 1e-9j, 2.0])], cfg, square)
     assert len(kept) == 1
     assert np.allclose(kept[0], [1.0, 2.0])
@@ -88,12 +87,6 @@ def test_witness_bound_validation():
         witness_bound(2, 2, 3, 1)
     with pytest.raises(ValueError):
         witness_bound(2, 1, 1, 1)
-
-
-def test_numerical_rank():
-    assert numerical_rank(np.eye(3)) == 3
-    assert numerical_rank(np.zeros((2, 2))) == 0
-    assert numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
 
 
 def test_full_rank_check_circle():
