@@ -8,6 +8,22 @@ check an accepted step is the next step's predictor.  Paths end in one of
 three states:
 Converged (finite endpoint, refined at t = 1), Divergent (left every
 bounded region), or Failed (tracking broke down at bounded norm).
+
+Each ``PathResult`` also names the exit that ended the path (its
+``reason``):
+
+- ``converged``: the endpoint passed ``refine_endpoint`` (Converged);
+- ``norm-exceeded``: an accepted point passed ``DIVERGENCE_NORM``
+  (Divergent);
+- ``min-step``: the step was halved below ``MIN_STEP`` (Divergent when the
+  tangent points outward, else Failed);
+- ``max-steps``: the step budget ``TrackConfig.max_steps`` ran out (Failed);
+- ``refine-rejected``: the path reached the tail but ``refine_endpoint``
+  rejected its endpoint, by the residual or the contraction test (Divergent
+  beyond ``DIVERGENCE_NORM``, else Failed).
+
+Every linear solve of the tracker goes through ``_solve``, which retries a
+matrix the pivot rule calls singular with its columns scaled to the point.
 """
 
 from __future__ import annotations
@@ -210,13 +226,33 @@ class PathResult:
     t_reached: float
     residual: float
     steps_taken: int
+    reason: str
+
+
+def _solve(J: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Solve J x = r for a Jacobian J of H at the point z.
+
+    The pivot rule equilibrates rows only, so a column whose entries are
+    tiny because its variable is huge (or the other way round) can make a
+    well-posed J look singular: near infinity the lambda column of the
+    critical system dwarfs the x columns by 20 orders of magnitude.  x does
+    not depend on how the columns are scaled, so a J the rule calls
+    singular is factored again as J * diag(|z|) (a zero coordinate keeps
+    scale 1), whose solution y gives x = diag(|z|) y.  J is singular only
+    when both factorizations say so; a J the rule accepts is solved exactly
+    as ``lu_solve_factored(lu_factor(J), r)``."""
+    try:
+        return lu_solve_factored(lu_factor(J), r)
+    except SingularMatrixError:
+        d = np.abs(z)
+        d[d == 0.0] = 1.0
+        return lu_solve_factored(lu_factor(J * d), r) * d
 
 
 def davidenko_rhs(H: HomotopyPair, z, t: float) -> np.ndarray:
     """Tangent dz/dt from (dH/dz) dz/dt = -dH/dt."""
     z = np.asarray(z, dtype=complex)
-    J = H.eval_dh_dz(z, t)
-    return lu_solve_factored(lu_factor(J), -H.eval_dh_dt(z))
+    return _solve(H.eval_dh_dz(z, t), -H.eval_dh_dt(z), z)
 
 
 def _cos_angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -245,17 +281,15 @@ def newton_correct(H: HomotopyPair, z, t: float, cfg: TrackConfig,
         if np.abs(r).max() <= tol_at(z):
             converged = True
             break
-        J = H.eval_dh_dz(z, t)
-        z = z - lu_solve_factored(lu_factor(J), r)
+        z = z - _solve(H.eval_dh_dz(z, t), r, z)
     if not converged and np.abs(H.eval_h(z, t)).max() > tol_at(z):
         raise NoConvergenceError(f"Newton did not reach {cfg.newton_tol} at t={t}")
     for _ in range(polish):
         r = H.eval_h(z, t)
         try:
-            factored = lu_factor(H.eval_dh_dz(z, t))
+            z_next = z - _solve(H.eval_dh_dz(z, t), r, z)
         except SingularMatrixError:
             break
-        z_next = z - lu_solve_factored(factored, r)
         if np.abs(H.eval_h(z_next, t)).max() >= np.abs(r).max():
             break
         z = z_next
@@ -279,9 +313,7 @@ def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
     # root) keeps steps of order |z| even when the magnitude-scaled residual
     # test passes
     try:
-        step = lu_solve_factored(
-            lu_factor(H.eval_dh_dz(z1, 1.0)), H.eval_h(z1, 1.0)
-        )
+        step = _solve(H.eval_dh_dz(z1, 1.0), H.eval_h(z1, 1.0), z1)
     except SingularMatrixError:
         return None
     if float(np.abs(step).max()) > 1e-6 * (1.0 + float(np.abs(z1).max())):
@@ -313,7 +345,7 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
     dz = None
     while t < T_TAIL:
         if steps_taken >= cfg.max_steps:
-            return PathResult(FAILED, None, t, float("inf"), steps_taken)
+            return PathResult(FAILED, None, t, float("inf"), steps_taken, "max-steps")
         if t >= T_END:
             # Geometric tail: cap the step by a fraction of the remaining
             # distance so far-away endpoints are followed, not jumped at.
@@ -355,7 +387,8 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
             dz = dz_next
             new_norm = float(np.abs(z).max())
             if new_norm > DIVERGENCE_NORM:
-                return PathResult(DIVERGENT, None, t, float("inf"), steps_taken)
+                return PathResult(DIVERGENT, None, t, float("inf"), steps_taken,
+                                  "norm-exceeded")
             norm = new_norm
             successes += 1
             if successes >= 3:
@@ -369,12 +402,12 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
                 growing = dz is not None and float(
                     np.abs(z + MIN_STEP * dz).max()) > norm
                 status = DIVERGENT if growing else FAILED
-                return PathResult(status, None, t, float("inf"), steps_taken)
+                return PathResult(status, None, t, float("inf"), steps_taken, "min-step")
 
     refined = refine_endpoint(H, z, cfg, 100 * cfg.newton_tol)
     steps_taken += 1
     if refined is None:
         status = DIVERGENT if float(np.abs(z).max()) > DIVERGENCE_NORM else FAILED
-        return PathResult(status, None, t, float("inf"), steps_taken)
+        return PathResult(status, None, t, float("inf"), steps_taken, "refine-rejected")
     z1, residual = refined
-    return PathResult(CONVERGED, z1, 1.0, residual, steps_taken)
+    return PathResult(CONVERGED, z1, 1.0, residual, steps_taken, "converged")

@@ -80,6 +80,7 @@ def test_criterion_2_path_count_ledger():
         "path-count ledger",
         ok,
         f"D={res.D} omega={res.omega_count} endpoints={len(res.solutions)} "
+        f"divergent={res.divergent} failed={res.failed} "
         f"div+fail={res.divergent + res.failed}, {elapsed:.1f}s",
     )
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lph.solver
 from lph.poly import parse, parse_poly, PolySystem, jacobian_transpose
 from lph.solver import (
     ChoiceIndex,
@@ -218,3 +219,30 @@ def test_lph_solve_solutions_satisfy_original_system():
     assert len(res.solutions) <= res.bound
     for s in res.solutions:
         assert F.residual(s) < 1e-6
+
+
+def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
+    # criterion 2's problem: two H2 paths go to infinity.  They must leave
+    # through the divergence norm, not crawl near the minimum step because
+    # the pivot rule calls their Jacobian singular.
+    h2 = []
+    original = lph.solver.track_path
+
+    def recording(H, z0, cfg=None):
+        res = original(H, z0, cfg)
+        if H.n_vars == 3:  # (x, y, lambda): H2; H1 tracks (x, y)
+            h2.append(res)
+        return res
+
+    monkeypatch.setattr(lph.solver, "track_path", recording)
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    p = LPHProblem(f, jacobian_transpose(f), np.array([0.874645, 1.0351], dtype=complex))
+    res = lph_solve(p, rng=np.random.default_rng(7))
+    assert (res.converged, res.divergent, res.failed) == (6, 2, 22)
+    assert len(h2) == 30
+    divergent = [r for r in h2 if r.status == "Divergent"]
+    assert len(divergent) == 2
+    for r in divergent:
+        assert r.reason == "norm-exceeded"
+        assert r.steps_taken < 1000
+    assert sum(r.steps_taken for r in h2) < 4000
