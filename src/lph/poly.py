@@ -8,7 +8,7 @@ coefficients dropped so that equality tests are deterministic.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,11 +27,6 @@ class ParseError(ValueError):
         super().__init__(f"line {line}, col {col}: {message}")
         self.line = line
         self.col = col
-
-
-class Monomial(NamedTuple):
-    exponents: tuple
-    coefficient: complex
 
 
 def _grlex_key(exps):
@@ -76,10 +71,6 @@ class MultiPoly:
         return cls(n_vars, [(tuple(exps), 1.0)])
 
     # -- basic queries -----------------------------------------------------
-
-    @property
-    def terms(self) -> list:
-        return [Monomial(tuple(e), complex(c)) for e, c in zip(self.exps, self.coeffs)]
 
     @property
     def is_zero(self) -> bool:

@@ -17,7 +17,7 @@ from typing import Iterator, List, Optional
 
 import numpy as np
 
-from .linalg import InvalidBetaError, SingularMatrixError, lu_solve
+from .linalg import InvalidBetaError, SingularMatrixError, beta_normalizer, lu_solve
 from .poly import MultiPoly, PolySystem
 from .start_systems import (
     DEDUP_TOL,
@@ -126,8 +126,6 @@ class NormalizedProblem:
 
 
 def normalize(p: LPHProblem) -> NormalizedProblem:
-    from .linalg import beta_normalizer
-
     A = beta_normalizer(p.beta)
     n, k = p.n, p.k
     J_prime = []

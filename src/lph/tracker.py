@@ -22,8 +22,10 @@ Each ``PathResult`` also names the exit that ended the path (its
   rejected its endpoint, by the residual or the contraction test (Divergent
   beyond ``DIVERGENCE_NORM``, else Failed).
 
-Every linear solve of the tracker goes through ``_solve``, which retries a
-matrix the pivot rule calls singular with its columns scaled to the point.
+Every linear solve of the tracker factors its Jacobian with the point as
+the column scale (``lu_factor(J, z)``): a Jacobian that looks singular only
+because the point's coordinates differ by many orders of magnitude, as on a
+path to infinity, is judged again with its columns scaled to the point.
 """
 
 from __future__ import annotations
@@ -229,30 +231,10 @@ class PathResult:
     reason: str
 
 
-def _solve(J: np.ndarray, r: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Solve J x = r for a Jacobian J of H at the point z.
-
-    The pivot rule equilibrates rows only, so a column whose entries are
-    tiny because its variable is huge (or the other way round) can make a
-    well-posed J look singular: near infinity the lambda column of the
-    critical system dwarfs the x columns by 20 orders of magnitude.  x does
-    not depend on how the columns are scaled, so a J the rule calls
-    singular is factored again as J * diag(|z|) (a zero coordinate keeps
-    scale 1), whose solution y gives x = diag(|z|) y.  J is singular only
-    when both factorizations say so; a J the rule accepts is solved exactly
-    as ``lu_solve_factored(lu_factor(J), r)``."""
-    try:
-        return lu_solve_factored(lu_factor(J), r)
-    except SingularMatrixError:
-        d = np.abs(z)
-        d[d == 0.0] = 1.0
-        return lu_solve_factored(lu_factor(J * d), r) * d
-
-
 def davidenko_rhs(H: HomotopyPair, z, t: float) -> np.ndarray:
     """Tangent dz/dt from (dH/dz) dz/dt = -dH/dt."""
     z = np.asarray(z, dtype=complex)
-    return _solve(H.eval_dh_dz(z, t), -H.eval_dh_dt(z), z)
+    return lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), -H.eval_dh_dt(z))
 
 
 def _cos_angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -281,13 +263,13 @@ def newton_correct(H: HomotopyPair, z, t: float, cfg: TrackConfig,
         if np.abs(r).max() <= tol_at(z):
             converged = True
             break
-        z = z - _solve(H.eval_dh_dz(z, t), r, z)
+        z = z - lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), r)
     if not converged and np.abs(H.eval_h(z, t)).max() > tol_at(z):
         raise NoConvergenceError(f"Newton did not reach {cfg.newton_tol} at t={t}")
     for _ in range(polish):
         r = H.eval_h(z, t)
         try:
-            z_next = z - _solve(H.eval_dh_dz(z, t), r, z)
+            z_next = z - lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), r)
         except SingularMatrixError:
             break
         if np.abs(H.eval_h(z_next, t)).max() >= np.abs(r).max():
@@ -313,7 +295,7 @@ def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
     # root) keeps steps of order |z| even when the magnitude-scaled residual
     # test passes
     try:
-        step = _solve(H.eval_dh_dz(z1, 1.0), H.eval_h(z1, 1.0), z1)
+        step = lu_solve_factored(lu_factor(H.eval_dh_dz(z1, 1.0), z1), H.eval_h(z1, 1.0))
     except SingularMatrixError:
         return None
     if float(np.abs(step).max()) > 1e-6 * (1.0 + float(np.abs(z1).max())):

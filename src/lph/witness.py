@@ -44,9 +44,6 @@ class RealWitnessSet:
     beta_used: np.ndarray
     c_values: List[float]
 
-    def as_array(self) -> np.ndarray:
-        return np.array([wp.point for wp in self.points], dtype=float)
-
 
 def build_critical_system(f: PolySystem, beta) -> LPHProblem:
     """Lagrange critical system of the linear objective with gradient beta:

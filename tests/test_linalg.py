@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lph.linalg import (
+    PIVOT_REL_TOL,
     InvalidBetaError,
     SingularMatrixError,
-    _eliminate,
-    _equilibrate,
     beta_normalizer,
     lu_factor,
     lu_solve,
+    lu_solve_factored,
 )
 
 
@@ -104,21 +104,13 @@ def test_solve_multiply_back_property(n, seed):
     assert np.abs(A @ x - b).max() < 1e-8 * max(1.0, np.abs(A).max())
 
 
-def _reference_rejects(A):
-    B, _, threshold = _equilibrate(A)
-    try:
-        _eliminate(B, threshold)
-    except SingularMatrixError:
-        return True
-    return False
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.integers(2, 6), st.integers(0, 10_000), st.floats(-16.0, -10.0))
-def test_singular_decision_matches_reference_elimination(n, seed, log_pivot):
+def test_singular_decision_follows_condition_number(n, seed, log_pivot):
     # A = P L U with |L_ij| <= 1 and its smallest pivot swept across the
-    # threshold 1e-14 * ||A||, where the LAPACK bound and the hand
-    # elimination must agree
+    # threshold 1e-14 * ||A||.  The rule's cond_inf of the row-equilibrated
+    # B is within a factor n of its SVD condition number, so outside that
+    # band around the threshold the verdict is fixed.
     rng = np.random.default_rng(seed)
     L = np.tril(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)), -1)
     L = (L / np.maximum(np.abs(L), 1.0)) + np.eye(n)
@@ -129,15 +121,69 @@ def test_singular_decision_matches_reference_elimination(n, seed, log_pivot):
     norm = np.abs(P @ L @ U).sum(axis=1).max()
     U[k, k] = 10.0 ** log_pivot * norm * np.exp(2j * np.pi * rng.random())
     A = P @ L @ U
-    rejects = _reference_rejects(A)
-    try:
-        lu_factor(A)
-    except SingularMatrixError:
-        assert rejects
-        return
-    assert not rejects
+    B = A / np.abs(A).max(axis=1)[:, None]
+    kappa = np.linalg.cond(B, 2) * PIVOT_REL_TOL
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x = lu_solve(A, b)
+    try:
+        x = lu_solve(A, b)
+    except SingularMatrixError:
+        assert kappa > 1.0 / n
+        return
+    assert kappa < n
     # normwise backward error
     scale = np.abs(A).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
     assert np.abs(A @ x - b).max() <= 1e-12 * scale
+
+
+# J * diag(|z|) for the Jacobian J of a critical system
+# {f, lambda * grad f - beta} in (x, y, lambda): row 0 (f) has no lambda
+# entry.  It is well conditioned.
+_CRAWLER_SCALED = np.array([
+    [1.0 + 0.2j, 2.0, 0.0],
+    [0.3, -0.5 + 0.1j, 1.0],
+    [0.7j, 0.2, -1.0 + 0.4j],
+])
+
+
+@pytest.mark.parametrize("z", [
+    pytest.param((8e2, 2e4, 1e-18), id="near-infinity"),
+    pytest.param((0.0, 2e4, 1e-18), id="zero-coordinate"),
+])
+def test_solve_retries_column_scaled(z):
+    # near infinity |x| and |y| are huge and lambda is tiny: the lambda
+    # column dwarfs the others by ~20 orders, which the row-equilibrated
+    # rule calls singular although A is well conditioned
+    z = np.array(z, dtype=complex)
+    d = np.where(z == 0, 1.0, np.abs(z))
+    J = _CRAWLER_SCALED / d
+    r = np.array([1.0, -2.0 + 1j, 0.5])
+    with pytest.raises(SingularMatrixError):
+        lu_factor(J)
+    with np.errstate(all="raise"):
+        x = lu_solve_factored(lu_factor(J, col_scale=z), r)
+    assert np.isfinite(x).all()
+    norm = np.linalg.norm
+    backward = norm(J @ x - r, np.inf) / (norm(J, np.inf) * norm(x, np.inf) + norm(r, np.inf))
+    assert backward <= 1e-12
+    assert np.allclose(x / d, np.linalg.solve(_CRAWLER_SCALED, r), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("J", [
+    pytest.param([[1.0, 0.0, 2.0], [3.0, 0.0, 1e17], [0.5, 0.0, -1e17]], id="zero-column"),
+    pytest.param([[1.0, 2.0, 2.0], [3.0, 6.0, 1e17], [0.5, 1.0, -1e17]], id="proportional-columns"),
+])
+def test_solve_keeps_singular_verdict_in_every_scaling(J):
+    with pytest.raises(SingularMatrixError):
+        lu_solve_factored(lu_factor(np.array(J, dtype=complex),
+                                    col_scale=np.array([8e2, 2e4, 1e-18], dtype=complex)),
+                          np.ones(3, dtype=complex))
+
+
+def test_solve_matches_plain_factorization_when_nonsingular():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5):
+        J = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        r = rng.normal(size=n) + 1j * rng.normal(size=n)
+        z = 10.0 ** rng.uniform(-18, 4, size=n) + 0j
+        x = lu_solve_factored(lu_factor(J, col_scale=z), r)
+        assert x.tobytes() == lu_solve_factored(lu_factor(J), r).tobytes()

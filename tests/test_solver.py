@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lph.solver
-from lph.poly import parse, parse_poly, PolySystem, jacobian_transpose
+from lph.poly import MultiPoly, parse, parse_poly, PolySystem, jacobian_transpose
 from lph.solver import (
     ChoiceIndex,
     DegreeZeroJacobianError,
@@ -246,3 +246,21 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
         assert r.reason == "norm-exceeded"
         assert r.steps_taken < 1000
     assert sum(r.steps_taken for r in h2) < 4000
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_critical_point_on_coordinate_hyperplane_is_found(seed):
+    # f(0, 0.7) = 0 and beta = grad f(0, 0.7), so (0, 0.7, 1) solves the
+    # critical system.  Its x is ~1e-17 after refinement: a column scale by
+    # |z| applied to every Jacobian squashes the x column there, the
+    # contraction test sees a singular matrix and the path is lost.
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=6)
+    c[0] = -(0.7 * c[2] + 0.49 * c[5])
+    f = PolySystem(2, [MultiPoly(2, list(zip(
+        [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], c)))])
+    beta = np.array([c[1] + 0.7 * c[4], c[2] + 1.4 * c[5]], dtype=complex)
+    res = lph_solve(LPHProblem(f, jacobian_transpose(f), beta),
+                    rng=np.random.default_rng(seed))
+    assert res.failed == 0
+    assert any(np.abs(s - np.array([0.0, 0.7, 1.0])).max() < 1e-6 for s in res.solutions)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from lph.linalg import SingularMatrixError, lu_factor, lu_solve_factored
 from lph.poly import parse, parse_poly, PolySystem
 from lph.tracker import (
     CONVERGED,
@@ -12,7 +11,6 @@ from lph.tracker import (
     NoConvergenceError,
     SystemEvaluator,
     TrackConfig,
-    _solve,
     davidenko_rhs,
     newton_correct,
     track_path,
@@ -211,59 +209,6 @@ def test_path_result_does_not_depend_on_earlier_paths():
     assert alone.status == again.status == CONVERGED
     assert alone.steps_taken == again.steps_taken
     assert alone.endpoint.tobytes() == again.endpoint.tobytes()
-
-
-# J * diag(|z|) for the Jacobian J of a critical system
-# {f, lambda * grad f - beta} in (x, y, lambda): row 0 (f) has no lambda
-# entry.  It is well conditioned.
-_CRAWLER_SCALED = np.array([
-    [1.0 + 0.2j, 2.0, 0.0],
-    [0.3, -0.5 + 0.1j, 1.0],
-    [0.7j, 0.2, -1.0 + 0.4j],
-])
-
-
-@pytest.mark.parametrize("z", [
-    pytest.param((8e2, 2e4, 1e-18), id="near-infinity"),
-    pytest.param((0.0, 2e4, 1e-18), id="zero-coordinate"),
-])
-def test_solve_retries_column_scaled(z):
-    # near infinity |x| and |y| are huge and lambda is tiny: the lambda
-    # column dwarfs the others by ~20 orders, which the row-equilibrated
-    # pivot rule calls singular although A is well conditioned
-    z = np.array(z, dtype=complex)
-    d = np.where(z == 0, 1.0, np.abs(z))
-    J = _CRAWLER_SCALED / d
-    r = np.array([1.0, -2.0 + 1j, 0.5])
-    with pytest.raises(SingularMatrixError):
-        lu_factor(J)
-    with np.errstate(all="raise"):
-        x = _solve(J, r, z)
-    assert np.isfinite(x).all()
-    norm = np.linalg.norm
-    backward = norm(J @ x - r, np.inf) / (norm(J, np.inf) * norm(x, np.inf) + norm(r, np.inf))
-    assert backward <= 1e-12
-    assert np.allclose(x / d, np.linalg.solve(_CRAWLER_SCALED, r), rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("J", [
-    pytest.param([[1.0, 0.0, 2.0], [3.0, 0.0, 1e17], [0.5, 0.0, -1e17]], id="zero-column"),
-    pytest.param([[1.0, 2.0, 2.0], [3.0, 6.0, 1e17], [0.5, 1.0, -1e17]], id="proportional-columns"),
-])
-def test_solve_keeps_singular_verdict_in_every_scaling(J):
-    with pytest.raises(SingularMatrixError):
-        _solve(np.array(J, dtype=complex), np.ones(3, dtype=complex),
-               np.array([8e2, 2e4, 1e-18], dtype=complex))
-
-
-def test_solve_matches_plain_factorization_when_nonsingular():
-    rng = np.random.default_rng(5)
-    for n in (1, 2, 3, 5):
-        J = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        r = rng.normal(size=n) + 1j * rng.normal(size=n)
-        z = 10.0 ** rng.uniform(-18, 4, size=n) + 0j
-        x = _solve(J, r, z)
-        assert x.tobytes() == lu_solve_factored(lu_factor(J), r).tobytes()
 
 
 def test_config_validation():
