@@ -195,12 +195,12 @@ def _complex_pairs(z: np.ndarray) -> list:
     return [[float(c.real), float(c.imag)] for c in z]
 
 
-def _echo_system(inp: SystemInput) -> dict:
+def _echo_system(inp: SystemInput, beta: Optional[np.ndarray]) -> dict:
     doc = {"vars": inp.variables, "f": inp.f_text}
     if inp.J_text is not None:
         doc["J"] = inp.J_text
-    if inp.beta is not None:
-        doc["beta"] = [float(b.real) for b in inp.beta]
+    if beta is not None:
+        doc["beta"] = [float(b.real) for b in beta]
     return doc
 
 
@@ -214,19 +214,31 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
         raise InputFormatError(f"{flag} expects comma-separated numbers")
 
 
+def _beta(args, inp: SystemInput, saved=None) -> np.ndarray:
+    """Beta from --beta, else from the input file, else ``saved`` (the beta
+    a solutions file was solved with)."""
+    if args.beta is not None:
+        return np.array(_parse_float_list(args.beta, "--beta"), dtype=complex)
+    if inp.beta is not None:
+        return inp.beta
+    if saved is not None:
+        return np.array(saved, dtype=complex)
+    raise InputFormatError(f"{args.command} requires a beta line or --beta")
+
+
+def _critical_system(inp: SystemInput, beta: np.ndarray) -> LPHProblem:
+    J = inp.J if inp.J is not None else jacobian_transpose(inp.f)
+    return LPHProblem(inp.f, J, beta)
+
+
 def _track_config(args) -> TrackConfig:
     return TrackConfig(newton_tol=args.newton_tol, max_steps=args.max_steps)
 
 
 def cmd_solve(args) -> int:
     inp = read_system(args.input)
-    beta = inp.beta
-    if args.beta is not None:
-        beta = np.array(_parse_float_list(args.beta, "--beta"), dtype=complex)
-    if beta is None:
-        raise InputFormatError("solve requires a beta line or --beta")
-    J = inp.J if inp.J is not None else jacobian_transpose(inp.f)
-    problem = LPHProblem(inp.f, J, beta)
+    beta = _beta(args, inp)
+    problem = _critical_system(inp, beta)
     cfg = _track_config(args)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
@@ -245,7 +257,7 @@ def cmd_solve(args) -> int:
         )
     if args.json:
         doc = {
-            "system": _echo_system(inp),
+            "system": _echo_system(inp, beta),
             "seed": args.seed,
             "bound": result.bound,
             "counts": {
@@ -306,7 +318,7 @@ def cmd_witness(args) -> int:
     ]
     if args.json:
         doc = {
-            "system": _echo_system(inp),
+            "system": _echo_system(inp, inp.beta),
             "seed": args.seed,
             "beta": [float(b) for b in rws.beta_used],
             "c": [float(c) for c in rws.c_values],
@@ -345,7 +357,7 @@ def cmd_bound(args) -> int:
     total_degree = d_f**n * prod_deg
     if args.json:
         doc = {
-            "system": _echo_system(inp),
+            "system": _echo_system(inp, inp.beta),
             "seed": args.seed,
             "D": D,
             "root_bound": eq3,
@@ -381,8 +393,12 @@ def cmd_verify(args) -> int:
         print("verified 0 solutions")
         return EXIT_OK
 
-    # decide which system the records belong to: full critical system when
-    # lambda is present, the plain f block otherwise
+    # records with lambda belong to the full critical system, the others to
+    # the plain f block
+    system = None
+    if any("lambda" in rec for rec in records):
+        saved = (doc.get("system") or {}).get("beta")
+        system = _critical_system(inp, _beta(args, inp, saved)).full_system()
     worst = -1.0
     worst_idx = -1
     for i, rec in enumerate(records):
@@ -391,13 +407,6 @@ def cmd_verify(args) -> int:
             else np.array([complex(v) for v in rec["x"]], dtype=complex)
         if "lambda" in rec:
             lam = np.array([complex(re, im) for re, im in rec["lambda"]], dtype=complex)
-            beta = inp.beta
-            if beta is None and "beta" in doc:
-                beta = np.array(doc["beta"], dtype=complex)
-            if beta is None:
-                raise InputFormatError("verify with lambda records requires beta")
-            J = inp.J if inp.J is not None else jacobian_transpose(inp.f)
-            system = LPHProblem(inp.f, J, beta).full_system()
             r = system.residual(np.concatenate([x, lam]))
         else:
             r = inp.f.residual(x)
@@ -432,25 +441,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("input", help="system input file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (default: $LPH_SEED or 0)")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--newton-tol", type=_positive_float, default=1e-10)
-        p.add_argument("--tau-imag", type=_positive_float, default=1e-6)
-        p.add_argument("--dedup-tol", type=_positive_float, default=1e-6)
-        p.add_argument("--beta", default=None, help="comma-separated beta override")
-        p.add_argument("--c", default=None, help="comma-separated c values (witness)")
-        p.add_argument("--max-steps", type=_positive_int, default=10000)
+    # each subcommand registers only the flags it reads
+    flags = {
+        "--seed": dict(type=int, default=None, help="RNG seed (default: $LPH_SEED or 0)"),
+        "--json": dict(action="store_true", help="emit JSON instead of text"),
+        "--newton-tol": dict(type=_positive_float, default=1e-10),
+        "--max-steps": dict(type=_positive_int, default=10000),
+        "--dedup-tol": dict(type=_positive_float, default=1e-6),
+        "--beta": dict(default=None, help="comma-separated beta override"),
+        "--tau-imag": dict(type=_positive_float, default=1e-6),
+        "--c": dict(default=None, help="comma-separated c values"),
+    }
+    tracking = ("--seed", "--json", "--newton-tol", "--max-steps")
 
-    p_solve = sub.add_parser("solve", help="solve {f, J*lambda - beta}")
-    common(p_solve)
-    p_witness = sub.add_parser("witness", help="real witness set of V_R(f)")
-    common(p_witness)
-    p_bound = sub.add_parser("bound", help="degree and root-count bounds")
-    common(p_bound)
-    p_verify = sub.add_parser("verify", help="re-check a JSON solution file")
-    common(p_verify)
+    def command(name, help, *names):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("input", help="system input file")
+        for flag in names:
+            p.add_argument(flag, **flags[flag])
+        return p
+
+    command("solve", "solve {f, J*lambda - beta}", *tracking, "--dedup-tol", "--beta")
+    command("witness", "real witness set of V_R(f)", *tracking, "--dedup-tol", "--beta",
+            "--tau-imag", "--c")
+    command("bound", "degree and root-count bounds", *tracking)
+    p_verify = command("verify", "re-check a JSON solution file", "--beta")
     p_verify.add_argument("solutions", help="JSON solutions file")
     return parser
 
@@ -458,16 +473,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
-        env = os.environ.get("LPH_SEED")
-        try:
-            args.seed = int(env) if env is not None else 0
-        except ValueError:
-            print(f"error: LPH_SEED must be an integer, got {env!r}", file=sys.stderr)
+    if "seed" in args:
+        if args.seed is None:
+            env = os.environ.get("LPH_SEED")
+            try:
+                args.seed = int(env) if env is not None else 0
+            except ValueError:
+                print(f"error: LPH_SEED must be an integer, got {env!r}", file=sys.stderr)
+                return EXIT_PARSE
+        if args.seed < 0 or args.seed >= 2**64:
+            print("error: --seed must be an unsigned 64-bit integer", file=sys.stderr)
             return EXIT_PARSE
-    if args.seed < 0 or args.seed >= 2**64:
-        print("error: --seed must be an unsigned 64-bit integer", file=sys.stderr)
-        return EXIT_PARSE
 
     dispatch = {
         "solve": cmd_solve,

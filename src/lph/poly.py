@@ -236,18 +236,12 @@ class PolySystem:
     def __len__(self):
         return len(self.polys)
 
-    def __iter__(self):
-        return iter(self.polys)
-
     def evaluate(self, point) -> np.ndarray:
         return np.array([p.evaluate(point) for p in self.polys], dtype=complex)
 
     def residual(self, point) -> float:
         vals = self.evaluate(point)
         return float(np.abs(vals).max()) if len(vals) else 0.0
-
-    def degrees(self) -> list:
-        return [p.degree for p in self.polys]
 
     def __repr__(self):
         return f"PolySystem(n_vars={self.n_vars}, polys={self.polys!r})"

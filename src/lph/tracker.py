@@ -2,9 +2,10 @@
 H(z, t) = (1 - t) * G(z) + gamma * t * F(z) from t = 0 to t = 1.
 
 The predictor is explicit Euler on the Davidenko ODE; the corrector is a
-full Newton iteration at fixed t.  A pair evaluates G, F and both
-Jacobians from one shared ``MonomialTable``, and the tangent computed to
-check an accepted step is the next step's predictor.  Paths end in one of
+full Newton iteration at fixed t.  A pair compiles one evaluator of the
+stacked system [G; F], so each point's values, Jacobians and magnitudes of
+both systems are one product each, and the tangent computed to check an
+accepted step is the next step's predictor.  Paths end in one of
 three states:
 Converged (finite endpoint, refined at t = 1), Divergent (left every
 bounded region), or Failed (tracking broke down at bounded norm).
@@ -51,112 +52,75 @@ class InvalidStartError(ValueError):
     pass
 
 
-class MonomialTable:
-    """The distinct monomials of one or more polynomial systems in the same
-    variables, evaluated once per point.
+class SystemEvaluator:
+    """Compiled evaluator for a polynomial system and its Jacobian.
 
-    Evaluators register their monomials (``columns``) and read the values
-    back as one vector (``monomials``, ``abs_monomials``).  A point's
-    monomials come from a per-variable power table by one gather and one
-    product, and the last point's vector is kept: the evaluators of a
-    homotopy sharing one table evaluate each point once.  The kept vector
-    depends on the point's bytes alone, so results never depend on the
-    order of calls.
+    Each distinct monomial of the polynomials and of their Jacobian entries
+    is one column, numbered in the order met.  A point's monomials come from
+    a per-variable power table by one gather and one product, and the last
+    point's vector is kept, keyed on the point's bytes, so results never
+    depend on the order of calls.  The values, the Jacobian entries and the
+    magnitudes are small dense coefficient matrices applied to that vector.
     """
 
-    def __init__(self, n_vars: int):
-        self.n_vars = n_vars
-        self._column: dict = {}
-        self._exps: list = []
-        self._gather = None
+    def __init__(self, system: PolySystem):
+        n = self.n_vars = system.n_vars
+        self.n_polys = len(system)
+        column: dict = {}
+
+        def columns(exps):
+            return np.array([column.setdefault(e, len(column))
+                             for e in map(tuple, exps.tolist())], dtype=np.intp)
+
+        # (row, monomial columns, coefficients) of the nonzero entries
+        val, jac = [], []
+        for i, p in enumerate(system.polys):
+            val.append((i, columns(p.exps), p.coeffs))
+            # d/dz_j of c * z^e is e_j * c * z^(e - u_j)
+            for j in range(n):
+                live = p.exps[:, j] > 0
+                shifted = p.exps[live] - np.eye(n, dtype=p.exps.dtype)[j]
+                jac.append((i * n + j, columns(shifted), p.exps[live, j] * p.coeffs[live]))
+        self._vals = self._dense(val, self.n_polys, len(column))
+        self._abs_vals = np.abs(self._vals)
+        self._jac = self._dense(jac, self.n_polys * n, len(column))
+        exps = np.array(list(column), dtype=np.intp).reshape(-1, n)
+        width = int(exps.max()) + 1 if exps.size else 1
+        self._exponents = np.arange(width)
+        # (n_vars, n_monomials) indices into the flattened power table
+        self._gather = exps.T + width * np.arange(n)[:, None]
         self._key = None
 
-    def __len__(self):
-        return len(self._exps)
+    @staticmethod
+    def _dense(entries, n_rows: int, width: int) -> np.ndarray:
+        out = np.zeros((n_rows, width), dtype=complex)
+        for row, cols, coeffs in entries:
+            out[row, cols] = coeffs
+        return out
 
-    def columns(self, exps: np.ndarray) -> np.ndarray:
-        """Column of each exponent row of ``exps``, adding new monomials."""
-        cols = []
-        for e in map(tuple, exps.tolist()):
-            col = self._column.get(e)
-            if col is None:
-                col = self._column[e] = len(self._exps)
-                self._exps.append(e)
-            cols.append(col)
-        self._gather = None
-        self._key = None
-        return np.array(cols, dtype=np.intp)
-
-    def monomials(self, z: np.ndarray) -> np.ndarray:
+    def _monomials(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         key = z.tobytes()
         if key != self._key:
-            if self._gather is None:
-                exps = np.array(self._exps, dtype=np.intp).reshape(-1, self.n_vars)
-                width = int(exps.max()) + 1 if exps.size else 1
-                self._exponents = np.arange(width)
-                # (n_vars, n_monomials) indices into the flattened power table
-                self._gather = exps.T + width * np.arange(self.n_vars)[:, None]
             powers = z[:, None] ** self._exponents
             self._mono = powers.ravel()[self._gather].prod(axis=0)
             self._abs = None
             self._key = key
         return self._mono
 
-    def abs_monomials(self, z: np.ndarray) -> np.ndarray:
-        mono = self.monomials(z)
-        if self._abs is None:
-            self._abs = np.abs(mono)
-        return self._abs
-
-
-class SystemEvaluator:
-    """Compiled evaluator for a square polynomial system and its Jacobian.
-
-    The values, the Jacobian entries and the magnitudes are small dense
-    coefficient matrices applied to the monomial vector of a
-    ``MonomialTable``, which may be shared with other evaluators in the
-    same variables (a homotopy's start and target systems share one).
-    """
-
-    def __init__(self, system: PolySystem, table: Optional[MonomialTable] = None):
-        n = self.n_vars = system.n_vars
-        self.n_polys = len(system)
-        self._table = table if table is not None else MonomialTable(n)
-        # (row, monomial columns, coefficients) of the nonzero entries
-        val, jac = [], []
-        for i, p in enumerate(system.polys):
-            val.append((i, self._table.columns(p.exps), p.coeffs))
-            # d/dz_j of c * z^e is e_j * c * z^(e - u_j)
-            for j in range(n):
-                live = p.exps[:, j] > 0
-                shifted = p.exps[live] - np.eye(n, dtype=p.exps.dtype)[j]
-                jac.append((i * n + j, self._table.columns(shifted),
-                            p.exps[live, j] * p.coeffs[live]))
-        self._width = len(self._table)
-        self._vals = self._dense(val, self.n_polys)
-        self._abs_vals = np.abs(self._vals)
-        self._jac = self._dense(jac, self.n_polys * n)
-
-    def _dense(self, entries, n_rows: int) -> np.ndarray:
-        out = np.zeros((n_rows, self._width), dtype=complex)
-        for row, cols, coeffs in entries:
-            out[row, cols] = coeffs
-        return out
-
     def values(self, z: np.ndarray) -> np.ndarray:
-        return self._vals @ self._table.monomials(z)[: self._width]
+        return self._vals @ self._monomials(z)
 
     def jacobian(self, z: np.ndarray) -> np.ndarray:
-        mono = self._table.monomials(z)[: self._width]
-        return (self._jac @ mono).reshape(self.n_polys, self.n_vars)
+        return (self._jac @ self._monomials(z)).reshape(self.n_polys, self.n_vars)
 
-    def magnitude(self, z: np.ndarray) -> float:
-        """Max over polynomials of sum_t |c_t| * |z|^e_t: the scale against
-        which the evaluation round-off floor is set."""
-        if not self.n_polys:
-            return 0.0
-        return float((self._abs_vals @ self._table.abs_monomials(z)[: self._width]).max())
+    def magnitude(self, z: np.ndarray) -> np.ndarray:
+        """Per polynomial, sum_t |c_t| * |z|^e_t: the scale against which the
+        evaluation round-off floor is set."""
+        mono = self._monomials(z)
+        if self._abs is None:
+            self._abs = np.abs(mono)
+        return self._abs_vals @ self._abs
 
 
 # Step control: first, smallest and largest step in t.
@@ -184,7 +148,10 @@ class TrackConfig:
 
 
 class HomotopyPair:
-    """Start/target pair with shared dimension and the gamma constant."""
+    """Start/target pair with shared dimension and the gamma constant.
+
+    One evaluator of the stacked system [G; F] (G's rows first) gives every
+    quantity as one product, sliced into its G and F halves."""
 
     def __init__(self, start: PolySystem, target: PolySystem, gamma: complex):
         if start.n_vars != target.n_vars or len(start) != len(target):
@@ -193,32 +160,34 @@ class HomotopyPair:
             raise ValueError("homotopy systems must be square")
         if gamma == 0:
             raise ValueError("gamma must be nonzero")
-        self.start = start
-        self.target = target
         self.gamma = complex(gamma)
         self.n_vars = start.n_vars
-        # one monomial table for G, F and their Jacobians; a pair whose start
-        # is its target (a plain Newton refinement) compiles it once
-        table = MonomialTable(self.n_vars)
-        self._g = SystemEvaluator(start, table)
-        self._f = self._g if target is start else SystemEvaluator(target, table)
+        self._h = SystemEvaluator(PolySystem(self.n_vars, start.polys + target.polys))
 
     def eval_h(self, z: np.ndarray, t: float) -> np.ndarray:
-        return (1 - t) * self._g.values(z) + self.gamma * t * self._f.values(z)
+        v, n = self._h.values(z), self.n_vars
+        return (1 - t) * v[:n] + self.gamma * t * v[n:]
 
     def eval_dh_dz(self, z: np.ndarray, t: float) -> np.ndarray:
-        return (1 - t) * self._g.jacobian(z) + self.gamma * t * self._f.jacobian(z)
+        J, n = self._h.jacobian(z), self.n_vars
+        return (1 - t) * J[:n] + self.gamma * t * J[n:]
 
     def eval_dh_dt(self, z: np.ndarray) -> np.ndarray:
-        return self.gamma * self._f.values(z) - self._g.values(z)
+        v, n = self._h.values(z), self.n_vars
+        return self.gamma * v[n:] - v[:n]
 
     def target_values(self, z: np.ndarray) -> np.ndarray:
-        return self._f.values(z)
+        return self._h.values(z)[self.n_vars:]
+
+    def target_magnitude(self, z: np.ndarray) -> float:
+        return float(self._h.magnitude(z)[self.n_vars:].max(initial=0.0))
 
     def scale(self, z: np.ndarray, t: float) -> float:
         """Evaluation magnitude of H at (z, t); residual tolerances below
         roughly eps times this are not numerically meaningful."""
-        return (1 - t) * self._g.magnitude(z) + abs(self.gamma) * t * self._f.magnitude(z)
+        m, n = self._h.magnitude(z), self.n_vars
+        return ((1 - t) * float(m[:n].max(initial=0.0))
+                + abs(self.gamma) * t * float(m[n:].max(initial=0.0)))
 
 
 @dataclass
@@ -288,7 +257,7 @@ def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
     except (SingularMatrixError, NoConvergenceError):
         return None
     residual = float(np.abs(H.target_values(z1)).max())
-    if residual > tol * max(1.0, H._f.magnitude(z1)):
+    if residual > tol * max(1.0, H.target_magnitude(z1)):
         return None
     # contraction check: at a regular root the Newton step is at round-off
     # level, while a truncated diverging path (or a point near a singular

@@ -209,6 +209,24 @@ def test_verify_perturbed_fails(circle_file, tmp_path, capsys):
     assert main(["verify", circle_file, str(sol)]) == EXIT_VERIFY_FAIL
 
 
+def test_verify_with_solve_beta_override(circle_file, tmp_path, capsys):
+    assert main(["solve", circle_file, "--seed", "1", "--json", "--beta", "1,0"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert json.loads(out)["system"]["beta"] == [1.0, 0.0]
+    sol = tmp_path / "sol.json"
+    sol.write_text(out)
+    assert main(["verify", circle_file, str(sol), "--beta", "1,0"]) == EXIT_OK
+
+
+def test_verify_takes_beta_from_solutions_file(tmp_path, capsys):
+    p = tmp_path / "nobeta.lph"
+    p.write_text("vars: x y\nf:\n  x^2 + y^2 - 1\nJ: jacobian\n")
+    assert main(["solve", str(p), "--seed", "1", "--json", "--beta", "1,0"]) == EXIT_OK
+    sol = tmp_path / "sol.json"
+    sol.write_text(capsys.readouterr().out)
+    assert main(["verify", str(p), str(sol)]) == EXIT_OK
+
+
 def test_verify_empty_passes_with_warning(circle_file, tmp_path, capsys):
     sol = tmp_path / "empty.json"
     sol.write_text('{"solutions": []}')
@@ -234,6 +252,13 @@ def test_bad_env_seed(circle_file, capsys, monkeypatch):
 def test_flag_validation_exit_2(circle_file):
     with pytest.raises(SystemExit) as exc:
         main(["solve", circle_file, "--newton-tol", "-1"])
+    assert exc.value.code == 2
+
+
+def test_unread_flag_exit_2(circle_file):
+    # bound does not filter real points, so it does not take --tau-imag
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", circle_file, "--tau-imag", "1"])
     assert exc.value.code == 2
 
 

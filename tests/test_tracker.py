@@ -7,7 +7,6 @@ from lph.tracker import (
     DIVERGENT,
     HomotopyPair,
     InvalidStartError,
-    MonomialTable,
     NoConvergenceError,
     SystemEvaluator,
     TrackConfig,
@@ -26,30 +25,47 @@ def _pair(start_text, target_text, var_names, gamma=1.0):
     return HomotopyPair(start, target, gamma)
 
 
-def _shared_table_evaluator(f):
-    # registered after another system, so f's monomials are a mix of shared
-    # and new columns of the table
-    table = MonomialTable(f.n_vars)
-    SystemEvaluator(parse("x^3 - y\nx*y^2 + 1", XY), table)
-    return SystemEvaluator(f, table)
+def _magnitudes(system, z):
+    return np.array([float(np.abs(p.coeffs) @ np.prod(np.abs(z) ** p.exps, axis=1))
+                     for p in system.polys])
+
+
+def _jacobian(system, z):
+    return np.array([[p.differentiate(j).evaluate(z) for j in range(system.n_vars)]
+                     for p in system.polys])
 
 
 def test_evaluator_matches_direct_evaluation():
     f = parse("x^2 + y^2 - 1\nx*y - 2", XY)
-    for ev in (SystemEvaluator(f), _shared_table_evaluator(f)):
-        rng = np.random.default_rng(2)
-        for _ in range(5):
+    ev = SystemEvaluator(f)
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        assert np.allclose(ev.values(z), f.evaluate(z))
+        assert ev.jacobian(z) == pytest.approx(_jacobian(f, z))
+        assert ev.magnitude(z).max() == pytest.approx(_magnitudes(f, z).max())
+
+
+def test_pair_matches_direct_evaluation():
+    # each system has a monomial the other lacks (x^2 in G, x^3 in F), so
+    # the stacked evaluator's columns mix shared and one-sided monomials
+    G = parse("x^2 + 2*y - 1\nx*y - 3", XY)
+    F = parse("x^3 - y^2 + x\nx*y^2 + 1", XY)
+    gamma = 0.6 - 0.8j
+    rng = np.random.default_rng(5)
+    for start, target in ((G, F), (F, F)):
+        H = HomotopyPair(start, target, gamma)
+        for t in (0.0, 0.3, 1.0):
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
-            assert np.allclose(ev.values(z), f.evaluate(z))
-            J = ev.jacobian(z)
-            for i, p in enumerate(f.polys):
-                for j in range(2):
-                    assert J[i, j] == pytest.approx(p.differentiate(j).evaluate(z))
-            magnitude = max(
-                float(np.abs(p.coeffs) @ np.prod(np.abs(z) ** p.exps, axis=1))
-                for p in f.polys
-            )
-            assert ev.magnitude(z) == pytest.approx(magnitude)
+            g, f = start.evaluate(z), target.evaluate(z)
+            assert np.allclose(H.eval_h(z, t), (1 - t) * g + gamma * t * f)
+            assert np.allclose(H.eval_dh_dz(z, t),
+                               (1 - t) * _jacobian(start, z) + gamma * t * _jacobian(target, z))
+            assert np.allclose(H.eval_dh_dt(z), gamma * f - g)
+            assert np.allclose(H.target_values(z), f)
+            mg, mf = _magnitudes(start, z).max(), _magnitudes(target, z).max()
+            assert H.scale(z, t) == pytest.approx((1 - t) * mg + abs(gamma) * t * mf)
+            assert H.target_magnitude(z) == pytest.approx(mf)
 
 
 def test_homotopy_boundaries():
