@@ -61,8 +61,8 @@ class SystemInput:
     variables: List[str]
     f: PolySystem
     f_text: List[str]
-    J: Optional[List[List[MultiPoly]]]
-    J_text: Optional[object]  # "jacobian" or list of row strings
+    J: List[List[MultiPoly]]  # the transposed Jacobian of f unless given
+    J_text: Optional[object]  # "jacobian", list of row strings, or None
     beta: Optional[np.ndarray]
 
     @property
@@ -134,10 +134,9 @@ def read_system(path: str) -> SystemInput:
     polys = [parse_poly(text, variables, line_no=ln) for ln, text in f_lines]
     f = PolySystem(len(variables), polys)
 
-    J = None
+    J = jacobian_transpose(f)
     J_text: Optional[object] = None
     if j_directive == "jacobian":
-        J = jacobian_transpose(f)
         J_text = "jacobian"
     elif j_lines:
         n, k = len(variables), len(polys)
@@ -226,11 +225,6 @@ def _beta(args, inp: SystemInput, saved=None) -> np.ndarray:
     raise InputFormatError(f"{args.command} requires a beta line or --beta")
 
 
-def _critical_system(inp: SystemInput, beta: np.ndarray) -> LPHProblem:
-    J = inp.J if inp.J is not None else jacobian_transpose(inp.f)
-    return LPHProblem(inp.f, J, beta)
-
-
 def _track_config(args) -> TrackConfig:
     return TrackConfig(newton_tol=args.newton_tol, max_steps=args.max_steps)
 
@@ -238,7 +232,7 @@ def _track_config(args) -> TrackConfig:
 def cmd_solve(args) -> int:
     inp = read_system(args.input)
     beta = _beta(args, inp)
-    problem = _critical_system(inp, beta)
+    problem = LPHProblem(inp.f, inp.J, beta)
     cfg = _track_config(args)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
@@ -342,8 +336,7 @@ def cmd_bound(args) -> int:
     n, k = inp.n, inp.k
     if not (n > k >= 1):
         raise InputFormatError("bound requires k < n (an underdetermined f block)")
-    J = inp.J if inp.J is not None else jacobian_transpose(inp.f)
-    d = jacobian_degree(J)
+    d = jacobian_degree(inp.J)
     d_f = max(max(p.degree, 1) for p in inp.f.polys)
     prod_deg = math.prod(max(p.degree, 1) for p in inp.f.polys)
     cfg = _track_config(args)
@@ -378,6 +371,12 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
+def _coordinates(values) -> np.ndarray:
+    """A solutions record's coordinates: [re, im] pairs or plain numbers."""
+    return np.array([complex(*v) if isinstance(v, list) else complex(v) for v in values],
+                    dtype=complex)
+
+
 def cmd_verify(args) -> int:
     inp = read_system(args.input)
     try:
@@ -385,9 +384,9 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"solutions file is not valid JSON: {exc}")
-    records = doc.get("solutions")
-    if records is None:
-        raise InputFormatError("solutions file lacks a 'solutions' array")
+    records = doc.get("solutions") if isinstance(doc, dict) else None
+    if not isinstance(records, list) or not all(isinstance(rec, dict) for rec in records):
+        raise InputFormatError("solutions file lacks a 'solutions' array of objects")
     if not records:
         print("warning: empty solution list, verifying vacuously", file=sys.stderr)
         print("verified 0 solutions")
@@ -397,19 +396,18 @@ def cmd_verify(args) -> int:
     # the plain f block
     system = None
     if any("lambda" in rec for rec in records):
-        saved = (doc.get("system") or {}).get("beta")
-        system = _critical_system(inp, _beta(args, inp, saved)).full_system()
+        echo = doc.get("system")
+        saved = echo.get("beta") if isinstance(echo, dict) else None
+        system = LPHProblem(inp.f, inp.J, _beta(args, inp, saved)).full_system()
     worst = -1.0
     worst_idx = -1
     for i, rec in enumerate(records):
-        x = np.array([complex(re, im) for re, im in rec["x"]], dtype=complex) \
-            if rec["x"] and isinstance(rec["x"][0], list) \
-            else np.array([complex(v) for v in rec["x"]], dtype=complex)
-        if "lambda" in rec:
-            lam = np.array([complex(re, im) for re, im in rec["lambda"]], dtype=complex)
-            r = system.residual(np.concatenate([x, lam]))
-        else:
-            r = inp.f.residual(x)
+        try:
+            x = _coordinates(rec["x"])
+            lam = _coordinates(rec["lambda"]) if "lambda" in rec else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"solution record {i} is malformed: {exc!r}")
+        r = inp.f.residual(x) if lam is None else system.residual(np.concatenate([x, lam]))
         if r > worst:
             worst, worst_idx = r, i
     status = worst <= VERIFY_TOL

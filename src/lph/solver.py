@@ -22,19 +22,20 @@ from .poly import MultiPoly, PolySystem
 from .start_systems import (
     DEDUP_TOL,
     RESIDUAL_TOL,
+    START_REJECTED,
     dedup_points,
-    refine_on,
+    track_stage,
     unit_complex,
     witness_points,
 )
-from .tracker import (
+# track_path is unused here; perfbench/test_perfbench.py and tests/test_api.py
+# check this binding of it
+from .tracker import (  # noqa: F401
     CONVERGED,
     DIVERGENT,
     FAILED,
     HomotopyPair,
-    NoConvergenceError,
     TrackConfig,
-    newton_correct,
     track_path,
 )
 
@@ -227,7 +228,7 @@ def h1_track(
     L_prime: List[MultiPoly],
     cfg: TrackConfig,
     gamma1: complex,
-    warnings: Optional[list] = None,
+    warnings: list,
 ) -> List[np.ndarray]:
     """Move witness points from the slice L to the slice L_prime."""
     n = f.n_vars
@@ -235,25 +236,17 @@ def h1_track(
     target = PolySystem(n, list(f.polys) + list(L_prime))
     H = HomotopyPair(start, target, gamma1)
     out = []
-    for m in M:
-        try:
-            z0 = newton_correct(H, m, 0.0, cfg)
-            res = track_path(H, z0, cfg)
-        except (SingularMatrixError, NoConvergenceError) as exc:
-            if warnings is not None:
-                warnings.append(f"H1 start correction failed: {exc}")
-            continue
-        if res.status != CONVERGED:
+    for res, refined in track_stage(H, M, cfg, target):
+        if res.reason == START_REJECTED:
+            warnings.append("H1 start correction failed")
+        elif res.status != CONVERGED:
             msg = f"H1 path ended {res.status}; point dropped"
             logger.warning(msg)
-            if warnings is not None:
-                warnings.append(msg)
-            continue
-        refined = refine_on(target, res.endpoint)
-        if refined is not None:
-            out.append(refined)
-        elif warnings is not None:
+            warnings.append(msg)
+        elif refined is None:
             warnings.append("H1 endpoint failed refinement; point dropped")
+        else:
+            out.append(refined)
     return out
 
 
@@ -346,27 +339,17 @@ def lph_solve(
                 continue
             omega.append(np.concatenate([x_star, lam]))
 
-    target = np_.normalized_full_system()
-    H2 = HomotopyPair(G.system, target, gamma2)
-    original = p.full_system()
+    H2 = HomotopyPair(G.system, np_.normalized_full_system(), gamma2)
     counts = {CONVERGED: 0, DIVERGENT: 0, FAILED: 0}
     endpoints = []
-    for w in omega:
-        try:
-            z0 = newton_correct(H2, w, 0.0, cfg)
-            res = track_path(H2, z0, cfg)
-        except (SingularMatrixError, NoConvergenceError):
-            counts[FAILED] += 1
+    # endpoints are refined against the original, unnormalized system
+    for res, refined in track_stage(H2, omega, cfg, p.full_system()):
+        if res.reason == START_REJECTED:
             warnings.append("H2 start correction failed")
-            continue
-        counts[res.status] += 1
-        if res.status == CONVERGED:
-            refined = refine_on(original, res.endpoint)
-            if refined is not None:
-                endpoints.append(refined)
-            else:
-                counts[CONVERGED] -= 1
-                counts[FAILED] += 1
+        # a Converged endpoint that fails refinement counts as Failed
+        counts[FAILED if res.status == CONVERGED and refined is None else res.status] += 1
+        if refined is not None:
+            endpoints.append(refined)
     solutions = dedup_points(endpoints, dedup_tol)
     solutions.sort(key=lambda z: tuple(v for c in z for v in (c.real, c.imag)))
     return LPHResult(

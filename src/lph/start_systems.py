@@ -1,5 +1,9 @@
 """Witness points by generic affine slicing, solved with a total-degree
-start system (scaled roots of unity) and the gamma-trick homotopy.
+start system (scaled roots of unity) and the gamma-trick homotopy; and
+``track_stage``, the one loop every homotopy stage runs its start points
+through: correct at t = 0, track, and refine a Converged endpoint with the
+stage's refinement pair, compiled once.  A start Newton cannot correct is
+not tracked; its record is a Failed ``PathResult``, reason ``start-rejected``.
 """
 
 from __future__ import annotations
@@ -7,26 +11,29 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 # lu_factor is unused here; perfbench/test_perfbench.py checks that the
 # tracer wraps this binding of it too
-from .linalg import lu_factor  # noqa: F401
+from .linalg import SingularMatrixError, lu_factor  # noqa: F401
 from .poly import MultiPoly, PolySystem
 from .tracker import (
     CONVERGED,
     FAILED,
     HomotopyPair,
+    NoConvergenceError,
     PathResult,
     TrackConfig,
+    newton_correct,
     refine_endpoint,
     track_path,
 )
 
 DEDUP_TOL = 1e-6
 RESIDUAL_TOL = 1e-8
+START_REJECTED = "start-rejected"
 
 
 class ZeroPolynomialError(ValueError):
@@ -106,18 +113,36 @@ def dedup_points(points, tol: float = DEDUP_TOL):
     return kept
 
 
-def refine_on(system: PolySystem, point: np.ndarray) -> Optional[np.ndarray]:
-    """Newton-polish a point against `system` under the tracker's
-    endpoint-acceptance rule at residual bound RESIDUAL_TOL; None if the
-    point is rejected."""
+def refine_on(R: HomotopyPair, point: np.ndarray) -> Optional[np.ndarray]:
+    """Newton-polish a point against the target of the pair R (a system
+    stacked on itself) under the tracker's endpoint-acceptance rule at
+    residual bound RESIDUAL_TOL; None if the point is rejected."""
     cfg = TrackConfig(newton_tol=RESIDUAL_TOL, newton_max_iters=20)
-    refined = refine_endpoint(HomotopyPair(system, system, 1.0), point, cfg, RESIDUAL_TOL)
+    refined = refine_endpoint(R, point, cfg, RESIDUAL_TOL)
     return None if refined is None else refined[0]
 
 
+def track_stage(H: HomotopyPair, starts, cfg: TrackConfig,
+                system: PolySystem) -> List[Tuple[PathResult, Optional[np.ndarray]]]:
+    """Run every start point of one homotopy stage: Newton-correct it at
+    t = 0, track it, and refine a Converged endpoint against `system`.
+    Returns one (PathResult, refined point or None) per start, in order."""
+    R = HomotopyPair(system, system, 1.0)
+    records = []
+    for s in starts:
+        try:
+            z0 = newton_correct(H, s, 0.0, cfg)
+        except (SingularMatrixError, NoConvergenceError):
+            records.append((PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED),
+                            None))
+            continue
+        res = track_path(H, z0, cfg)
+        records.append((res, refine_on(R, res.endpoint) if res.status == CONVERGED else None))
+    return records
+
+
 def solve_square(F: PolySystem, cfg: Optional[TrackConfig] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 return_results: bool = False):
+                 rng: Optional[np.random.Generator] = None) -> List[np.ndarray]:
     """All isolated solutions of a square system via a total-degree homotopy."""
     cfg = cfg or TrackConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
@@ -131,21 +156,12 @@ def solve_square(F: PolySystem, cfg: Optional[TrackConfig] = None,
     ts = TotalDegreeStart(degrees, [unit_complex(rng) for _ in degrees])
     gamma = unit_complex(rng)
     H = HomotopyPair(ts.system(), F, gamma)
-    results: List[PathResult] = []
-    endpoints = []
-    for z0 in total_degree_roots(ts):
-        res = track_path(H, z0, cfg)
-        results.append(res)
-        if res.status == CONVERGED:
-            refined = refine_on(F, res.endpoint)
-            if refined is not None:
-                endpoints.append(refined)
-    if not endpoints and results and all(r.status == FAILED for r in results):
+    # the start roots pass the tracker's start test, so correction keeps them
+    records = track_stage(H, total_degree_roots(ts), cfg, F)
+    endpoints = [refined for _, refined in records if refined is not None]
+    if not endpoints and records and all(res.status == FAILED for res, _ in records):
         raise AllPathsFailedError("every path of the total-degree homotopy failed")
-    solutions = dedup_points(endpoints)
-    if return_results:
-        return solutions, results
-    return solutions
+    return dedup_points(endpoints)
 
 
 def witness_points(f: PolySystem, rng: Optional[np.random.Generator] = None,

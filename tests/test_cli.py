@@ -227,6 +227,17 @@ def test_verify_takes_beta_from_solutions_file(tmp_path, capsys):
     assert main(["verify", str(p), str(sol)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("doc", [
+    '{"solutions": [{"y": [[1, 0]]}]}',   # a record without "x"
+    '[{"x": [[1, 0], [0, 0]]}]',          # a top-level list
+], ids=["record-without-x", "top-level-list"])
+def test_verify_malformed_solutions_exit_2(circle_file, tmp_path, capsys, doc):
+    sol = tmp_path / "bad.json"
+    sol.write_text(doc)
+    assert main(["verify", circle_file, str(sol)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_verify_empty_passes_with_warning(circle_file, tmp_path, capsys):
     sol = tmp_path / "empty.json"
     sol.write_text('{"solutions": []}')

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import lph.solver
+import lph.start_systems
 from lph.poly import MultiPoly, parse, parse_poly, PolySystem, jacobian_transpose
 from lph.solver import (
     ChoiceIndex,
@@ -226,7 +226,7 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
     # through the divergence norm, not crawl near the minimum step because
     # the pivot rule calls their Jacobian singular.
     h2 = []
-    original = lph.solver.track_path
+    original = lph.start_systems.track_path
 
     def recording(H, z0, cfg=None):
         res = original(H, z0, cfg)
@@ -234,7 +234,7 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
             h2.append(res)
         return res
 
-    monkeypatch.setattr(lph.solver, "track_path", recording)
+    monkeypatch.setattr(lph.start_systems, "track_path", recording)
     f = PolySystem(2, [parse_poly(SEXTIC, XY)])
     p = LPHProblem(f, jacobian_transpose(f), np.array([0.874645, 1.0351], dtype=complex))
     res = lph_solve(p, rng=np.random.default_rng(7))
@@ -246,6 +246,16 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
         assert r.reason == "norm-exceeded"
         assert r.steps_taken < 1000
     assert sum(r.steps_taken for r in h2) < 4000
+
+
+def test_h2_counts_partition_omega():
+    # criterion 2's problem: every H2 start ends in exactly one count, the
+    # start-rejected and refine-rejected ones included
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    p = LPHProblem(f, jacobian_transpose(f), np.array([0.874645, 1.0351], dtype=complex))
+    res = lph_solve(p, rng=np.random.default_rng(7))
+    assert res.omega_count == 30
+    assert res.converged + res.divergent + res.failed == res.omega_count
 
 
 @pytest.mark.parametrize("seed", range(8))

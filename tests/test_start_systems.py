@@ -3,9 +3,12 @@ import cmath
 import numpy as np
 import pytest
 
+import lph.start_systems
+import lph.tracker
 from lph.poly import parse, parse_poly, PolySystem
 from lph.start_systems import (
     RESIDUAL_TOL,
+    START_REJECTED,
     TotalDegreeStart,
     ZeroPolynomialError,
     dedup_points,
@@ -13,10 +16,11 @@ from lph.start_systems import (
     refine_on,
     solve_square,
     total_degree_roots,
+    track_stage,
     unit_complex,
     witness_points,
 )
-from lph.tracker import HomotopyPair, TrackConfig, newton_correct
+from lph.tracker import CONVERGED, FAILED, HomotopyPair, TrackConfig, newton_correct
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -87,7 +91,7 @@ def test_dedup_points():
 
 def test_refine_on_rejects_non_roots():
     f = parse("x^2 + 1", ["x"])
-    assert refine_on(f, np.array([50.0 + 0j])) is None
+    assert refine_on(HomotopyPair(f, f, 1.0), np.array([50.0 + 0j])) is None
 
 
 def test_refine_on_rejects_points_newton_has_not_contracted():
@@ -98,7 +102,48 @@ def test_refine_on_rejects_points_newton_has_not_contracted():
     cfg = TrackConfig(newton_tol=RESIDUAL_TOL, newton_max_iters=20)
     polished = newton_correct(H, np.array([1.001 + 0j]), 1.0, cfg, polish=2)
     assert polished[0] == pytest.approx(1.00003125, abs=1e-12)
-    assert refine_on(f, np.array([1.001 + 0j])) is None
+    assert refine_on(H, np.array([1.001 + 0j])) is None
+
+
+@pytest.mark.parametrize("start, cfg", [
+    (0.0, TrackConfig()),                      # x^2 - 1 has a singular Jacobian at 0
+    (50.0, TrackConfig(newton_max_iters=1)),   # one Newton step cannot reach x = 1
+], ids=["singular", "no-convergence"])
+def test_track_stage_rejects_a_start_newton_cannot_correct(monkeypatch, start, cfg):
+    start_system, target = parse("x^2 - 1", ["x"]), parse("x^2 - 4", ["x"])
+    H = HomotopyPair(start_system, target, 0.6 + 0.8j)
+    tracked = []
+    original = lph.start_systems.track_path
+
+    def recording(H, z0, cfg=None):
+        tracked.append(z0)
+        return original(H, z0, cfg)
+
+    monkeypatch.setattr(lph.start_systems, "track_path", recording)
+    starts = [np.array([start + 0j]), np.array([1.0 + 0j])]
+    (rejected, none), (res, refined) = track_stage(H, starts, cfg, target)
+    assert rejected == lph.tracker.PathResult(FAILED, None, 0.0, float("inf"), 0,
+                                              START_REJECTED)
+    assert none is None
+    assert len(tracked) == 1
+    assert res.status == CONVERGED
+    assert abs(abs(refined[0]) - 2.0) < 1e-12
+
+
+@pytest.mark.parametrize("text", ["x^2 - 1\ny - 2", "x^3 - 1\ny^2 + x - 2"])
+def test_solve_square_compiles_two_evaluators(monkeypatch, text):
+    # one for the homotopy and one refinement pair, whatever the path count
+    compiled = []
+    original = lph.tracker.SystemEvaluator.__init__
+
+    def counting(self, system):
+        compiled.append(system)
+        original(self, system)
+
+    monkeypatch.setattr(lph.tracker.SystemEvaluator, "__init__", counting)
+    sols = solve_square(parse(text, XY))
+    assert len(sols) >= 2
+    assert len(compiled) == 2
 
 
 def test_solve_square_quadratic():
