@@ -214,10 +214,13 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 
 def _beta(args, inp: SystemInput, saved=None) -> np.ndarray:
-    """Beta from --beta, else from the input file, else ``saved`` (the beta
-    a solutions file was solved with)."""
+    """Beta from --beta (one number per variable), else from the input
+    file, else ``saved`` (the beta a solutions file was solved with)."""
     if args.beta is not None:
-        return np.array(_parse_float_list(args.beta, "--beta"), dtype=complex)
+        beta = _parse_float_list(args.beta, "--beta")
+        if len(beta) != inp.n:
+            raise InputFormatError("--beta length does not match vars")
+        return np.array(beta, dtype=complex)
     if inp.beta is not None:
         return inp.beta
     if saved is not None:
@@ -279,13 +282,9 @@ def cmd_solve(args) -> int:
 
 def cmd_witness(args) -> int:
     inp = read_system(args.input)
-    beta = None
-    if args.beta is not None:
-        beta = _parse_float_list(args.beta, "--beta")
-        if len(beta) != inp.n:
-            raise InputFormatError("--beta length does not match vars")
-    elif inp.beta is not None:
-        beta = [float(b.real) for b in inp.beta]
+    # without a beta, real_witness_set draws stage 0's objective
+    has_beta = args.beta is not None or inp.beta is not None
+    beta = _beta(args, inp).real if has_beta else None
     c_values = _parse_float_list(args.c, "--c") if args.c is not None else None
     cfg = _track_config(args)
     rng = np.random.default_rng(args.seed)
@@ -314,13 +313,13 @@ def cmd_witness(args) -> int:
         doc = {
             "system": _echo_system(inp, inp.beta),
             "seed": args.seed,
-            "beta": [float(b) for b in rws.beta_used],
+            "betas": [[float(b) for b in beta] for beta in rws.betas],
             "c": [float(c) for c in rws.c_values],
             "solutions": records,
         }
         print(to_json(doc))
     else:
-        print(f"beta = {np.asarray(rws.beta_used)}  c = {rws.c_values}")
+        print(f"betas = {np.asarray(rws.betas)}  c = {rws.c_values}")
         for i, rec in enumerate(records):
             coords = ", ".join(f"{v:+.12g}" for v in rec["x"])
             print(
@@ -342,7 +341,7 @@ def cmd_bound(args) -> int:
     cfg = _track_config(args)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
-    _, D, _ = witness_points(inp.f, rng, cfg)
+    D = len(witness_points(inp.f, rng, cfg)[0])
     elapsed = time.perf_counter() - t0
     eq3 = root_bound(n, k, d, D)
     eq6 = witness_bound(n, k, d_f, D) if d_f > 1 else None

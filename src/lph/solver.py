@@ -24,6 +24,7 @@ from .start_systems import (
     RESIDUAL_TOL,
     START_REJECTED,
     dedup_points,
+    refine_on,
     track_stage,
     unit_complex,
     witness_points,
@@ -236,17 +237,15 @@ def h1_track(
     target = PolySystem(n, list(f.polys) + list(L_prime))
     H = HomotopyPair(start, target, gamma1)
     out = []
-    for res, refined in track_stage(H, M, cfg, target):
+    for res in track_stage(H, M, cfg):
         if res.reason == START_REJECTED:
             warnings.append("H1 start correction failed")
         elif res.status != CONVERGED:
             msg = f"H1 path ended {res.status}; point dropped"
             logger.warning(msg)
             warnings.append(msg)
-        elif refined is None:
-            warnings.append("H1 endpoint failed refinement; point dropped")
         else:
-            out.append(refined)
+            out.append(res.endpoint)
     return out
 
 
@@ -286,7 +285,7 @@ class LPHResult:
 
 def _solve_constant_J(p: LPHProblem, cfg, rng, dedup_tol) -> LPHResult:
     # Degenerate d = 0 route: J is constant, so lambda decouples from x.
-    M, D, _ = witness_points(p.f, rng, cfg)
+    M, _ = witness_points(p.f, rng, cfg)
     Jc = np.array(
         [[entry.evaluate(np.zeros(p.n, dtype=complex)) for entry in row] for row in p.J],
         dtype=complex,
@@ -297,7 +296,7 @@ def _solve_constant_J(p: LPHProblem, cfg, rng, dedup_tol) -> LPHResult:
         for x in M:
             solutions.append(np.concatenate([x, lam]))
     return LPHResult(
-        dedup_points(solutions, dedup_tol), D, 0, 0, len(solutions), 0, 0, witness_M=M
+        dedup_points(solutions, dedup_tol), len(M), 0, 0, len(solutions), 0, 0, witness_M=M
     )
 
 
@@ -317,7 +316,8 @@ def lph_solve(
         return _solve_constant_J(p, cfg, rng, dedup_tol)
 
     warnings: List[str] = []
-    M, D, sliced = witness_points(p.f, rng, cfg)
+    M, sliced = witness_points(p.f, rng, cfg)
+    D = len(M)
     np_ = normalize(p)
     G = build_G(np_, rng)
     gamma1 = unit_complex(rng)
@@ -340,12 +340,16 @@ def lph_solve(
             omega.append(np.concatenate([x_star, lam]))
 
     H2 = HomotopyPair(G.system, np_.normalized_full_system(), gamma2)
+    # H2 tracks the normalized system, so its endpoints are refined against
+    # the original one, whose round-off floor can be lower
+    original = p.full_system()
+    R = HomotopyPair(original, original, 1.0)
     counts = {CONVERGED: 0, DIVERGENT: 0, FAILED: 0}
     endpoints = []
-    # endpoints are refined against the original, unnormalized system
-    for res, refined in track_stage(H2, omega, cfg, p.full_system()):
+    for res in track_stage(H2, omega, cfg):
         if res.reason == START_REJECTED:
             warnings.append("H2 start correction failed")
+        refined = refine_on(R, res.endpoint) if res.status == CONVERGED else None
         # a Converged endpoint that fails refinement counts as Failed
         counts[FAILED if res.status == CONVERGED and refined is None else res.status] += 1
         if refined is not None:

@@ -1,9 +1,10 @@
 """Witness points by generic affine slicing, solved with a total-degree
 start system (scaled roots of unity) and the gamma-trick homotopy; and
 ``track_stage``, the one loop every homotopy stage runs its start points
-through: correct at t = 0, track, and refine a Converged endpoint with the
-stage's refinement pair, compiled once.  A start Newton cannot correct is
+through: correct at t = 0, then track.  A start Newton cannot correct is
 not tracked; its record is a Failed ``PathResult``, reason ``start-rejected``.
+A Converged endpoint is used as tracked: ``refine_on`` runs only where a
+point changes system (H2 against the original system, real re-convergence).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -122,22 +123,17 @@ def refine_on(R: HomotopyPair, point: np.ndarray) -> Optional[np.ndarray]:
     return None if refined is None else refined[0]
 
 
-def track_stage(H: HomotopyPair, starts, cfg: TrackConfig,
-                system: PolySystem) -> List[Tuple[PathResult, Optional[np.ndarray]]]:
+def track_stage(H: HomotopyPair, starts, cfg: TrackConfig) -> List[PathResult]:
     """Run every start point of one homotopy stage: Newton-correct it at
-    t = 0, track it, and refine a Converged endpoint against `system`.
-    Returns one (PathResult, refined point or None) per start, in order."""
-    R = HomotopyPair(system, system, 1.0)
+    t = 0, then track it.  Returns one PathResult per start, in order."""
     records = []
     for s in starts:
         try:
             z0 = newton_correct(H, s, 0.0, cfg)
         except (SingularMatrixError, NoConvergenceError):
-            records.append((PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED),
-                            None))
+            records.append(PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED))
             continue
-        res = track_path(H, z0, cfg)
-        records.append((res, refine_on(R, res.endpoint) if res.status == CONVERGED else None))
+        records.append(track_path(H, z0, cfg))
     return records
 
 
@@ -157,18 +153,17 @@ def solve_square(F: PolySystem, cfg: Optional[TrackConfig] = None,
     gamma = unit_complex(rng)
     H = HomotopyPair(ts.system(), F, gamma)
     # the start roots pass the tracker's start test, so correction keeps them
-    records = track_stage(H, total_degree_roots(ts), cfg, F)
-    endpoints = [refined for _, refined in records if refined is not None]
-    if not endpoints and records and all(res.status == FAILED for res, _ in records):
+    records = track_stage(H, total_degree_roots(ts), cfg)
+    endpoints = [res.endpoint for res in records if res.status == CONVERGED]
+    if not endpoints and records and all(res.status == FAILED for res in records):
         raise AllPathsFailedError("every path of the total-degree homotopy failed")
     return dedup_points(endpoints)
 
 
 def witness_points(f: PolySystem, rng: Optional[np.random.Generator] = None,
                    cfg: Optional[TrackConfig] = None):
-    """Witness points of V(f) on a random slice; returns (points, D, sliced)
-    with D = len(points) and sliced the SlicedSystem they solve."""
+    """Witness points of V(f) on a random slice, and the SlicedSystem they
+    solve; the witness degree D is their count."""
     rng = rng if rng is not None else np.random.default_rng(0)
     sliced = random_slice(f, rng)
-    M = solve_square(sliced.square, cfg, rng)
-    return M, len(M), sliced
+    return solve_square(sliced.square, cfg, rng), sliced

@@ -1,6 +1,8 @@
 """Real witness sets: at least one real point per connected component of a
 real variety, via critical points of random linear objectives and recursive
-hyperplane augmentation.
+hyperplane augmentation.  Stage endpoints are used as tracked; only
+``real_filter``, which moves near-real points onto the real locus, refines
+them again, with ``refine_on``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import numpy as np
 
 from .poly import MultiPoly, PolySystem, jacobian_transpose
 from .solver import LPHProblem, lph_solve
-from .start_systems import DEDUP_TOL, solve_square
-from .tracker import SystemEvaluator, TrackConfig
+from .start_systems import DEDUP_TOL, refine_on, solve_square
+from .tracker import HomotopyPair, SystemEvaluator, TrackConfig
 
 logger = logging.getLogger(__name__)
 
@@ -41,7 +43,7 @@ class WitnessPoint:
 @dataclass
 class RealWitnessSet:
     points: List[WitnessPoint]
-    beta_used: np.ndarray
+    betas: List[np.ndarray]  # betas[s] is the objective of critical stage s
     c_values: List[float]
 
 
@@ -60,36 +62,22 @@ def augment(f: PolySystem, beta, c: float) -> PolySystem:
     return PolySystem(n, list(f.polys) + [MultiPoly(n, terms)])
 
 
-def _real_newton(ev: SystemEvaluator, x: np.ndarray, max_iters: int = 20) -> Optional[np.ndarray]:
-    for _ in range(max_iters):
-        vals = ev.values(x.astype(complex))
-        if np.abs(vals).max() <= 1e-8:
-            return x
-        J = ev.jacobian(x.astype(complex)).real
-        try:
-            step = np.linalg.solve(J, vals.real)
-        except np.linalg.LinAlgError:
-            return None
-        x = x - step
-    vals = ev.values(x.astype(complex))
-    return x if np.abs(vals).max() <= 1e-8 else None
-
-
 def real_filter(
     points, cfg: Optional[RealFilterConfig], square_system: PolySystem
 ) -> List[np.ndarray]:
-    """Keep near-real points, drop imaginary parts and re-converge with a
-    real Newton iteration on the (real-coefficient) square system."""
+    """Keep near-real points, drop imaginary parts and re-converge them with
+    ``refine_on`` on the (real-coefficient) square system.  Newton from a
+    real point on a real system stays real, so the kept points are real."""
     cfg = cfg or RealFilterConfig()
-    ev = SystemEvaluator(square_system)
+    R = HomotopyPair(square_system, square_system, 1.0)
     out = []
     for z in points:
         z = np.asarray(z, dtype=complex)
         if np.abs(z.imag).max() >= cfg.tau_imag:
             continue
-        x = _real_newton(ev, z.real.copy())
+        x = refine_on(R, z.real)
         if x is not None:
-            out.append(x)
+            out.append(x.real)
     return out
 
 
@@ -132,8 +120,10 @@ def real_witness_set(
     dedup_tol: float = DEDUP_TOL,
 ) -> RealWitnessSet:
     """Real witness points of V_R(f), tagged by the recursion stage that
-    produced them.  beta is drawn once and reused; each stage augments with
-    a fresh constant c."""
+    produced them.  Critical stage s finds the critical points of betas[s] . x
+    and then augments with the hyperplane betas[s] . x + c_s = 0; betas[0] is
+    `beta` (drawn when None), and each later stage draws a fresh objective,
+    since betas[s-1] . x is constant on stage s's slice."""
     cfg = cfg or TrackConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     filter_cfg = filter_cfg or RealFilterConfig()
@@ -141,15 +131,18 @@ def real_witness_set(
     if k0 > n:
         raise ValueError("more equations than variables")
 
+    def objective():
+        return (0.5 + rng.random(n)) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
+
     if beta is None:
-        beta = (0.5 + rng.random(n)) * np.where(rng.random(n) < 0.5, -1.0, 1.0)
-    beta = np.asarray(beta, dtype=float)
+        beta = objective()
     n_stages = n - k0
     if c_values is None:
         c_values = [float(rng.uniform(-5, 5)) for _ in range(n_stages)]
     c_values = [float(c) for c in list(c_values)]
     if len(c_values) < n_stages:
         c_values = c_values + [float(rng.uniform(-5, 5)) for _ in range(n_stages - len(c_values))]
+    betas = [np.asarray(beta, dtype=float)] + [objective() for _ in range(1, n_stages)]
 
     kept: List[WitnessPoint] = []
     cur = f
@@ -159,7 +152,7 @@ def real_witness_set(
             sols = solve_square(cur, cfg, rng)
             reals = real_filter(sols, filter_cfg, cur)
         else:
-            prob = build_critical_system(cur, beta)
+            prob = build_critical_system(cur, betas[stage])
             result = lph_solve(prob, cfg, rng, dedup_tol=dedup_tol)
             for w in result.warnings:
                 logger.warning("stage %d: %s", stage, w)
@@ -173,5 +166,5 @@ def real_witness_set(
                 continue
             kept.append(WitnessPoint(x, stage, f.residual(x.astype(complex))))
         if k < n:
-            cur = augment(cur, beta, c_values[stage])
-    return RealWitnessSet(kept, beta, c_values)
+            cur = augment(cur, betas[stage], c_values[stage])
+    return RealWitnessSet(kept, betas, c_values)

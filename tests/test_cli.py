@@ -161,7 +161,7 @@ def test_witness_beta_c_flags(sextic_file, capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
-    assert doc["beta"] == [0.874645, 1.0351]
+    assert doc["betas"] == [[0.874645, 1.0351]]
     assert doc["c"] == [-3.9825]
     pts = [rec["x"] for rec in doc["solutions"]]
     assert any(abs(x + 1.44299) < 1e-4 and abs(y + 1.32941) < 1e-4 for x, y in pts)
@@ -284,3 +284,16 @@ def test_zero_beta_exit_3(tmp_path, capsys):
     p = tmp_path / "zb.lph"
     p.write_text("vars: x y\nf:\n  x^2 + y^2 - 1\nJ: jacobian\nbeta: 0 0\n")
     assert main(["solve", str(p)]) == EXIT_NUMERICAL
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_beta_flag_of_wrong_length_exit_2(circle_file, tmp_path, capsys, command):
+    # a malformed flag is a usage error, as in witness; a zero beta of the
+    # right length stays a numerical failure
+    assert main(["solve", circle_file, "--seed", "1", "--json"]) == EXIT_OK
+    sol = tmp_path / "sol.json"
+    sol.write_text(capsys.readouterr().out)
+    args = [command, circle_file] + ([str(sol)] if command == "verify" else [])
+    assert main(args + ["--beta", "1,0,0"]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: --beta length")
+    assert main(args + ["--beta", "0,0"]) == EXIT_NUMERICAL

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lph.start_systems
+import lph.tracker
 from lph.poly import MultiPoly, parse, parse_poly, PolySystem, jacobian_transpose
 from lph.solver import (
     ChoiceIndex,
@@ -10,11 +11,13 @@ from lph.solver import (
     backsolve_lambda,
     build_G,
     enumerate_choices,
+    h1_track,
     lph_solve,
     normalize,
     root_bound,
 )
-from lph.start_systems import solve_square
+from lph.start_systems import random_slice, solve_square, witness_points
+from lph.tracker import TrackConfig
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -246,6 +249,27 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
         assert r.reason == "norm-exceeded"
         assert r.steps_taken < 1000
     assert sum(r.steps_taken for r in h2) < 4000
+
+
+def test_h1_track_compiles_one_evaluator(monkeypatch):
+    # the slice-move homotopy's only: its endpoints are used as tracked
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    rng = np.random.default_rng(3)
+    M, sliced = witness_points(f, rng)
+    L_prime = random_slice(f, rng).L
+    compiled = []
+    original = lph.tracker.SystemEvaluator.__init__
+
+    def counting(self, system):
+        compiled.append(system)
+        original(self, system)
+
+    monkeypatch.setattr(lph.tracker.SystemEvaluator, "__init__", counting)
+    warnings = []
+    moved = h1_track(M, f, sliced.L, L_prime, TrackConfig(), 0.6 + 0.8j, warnings)
+    assert len(moved) == 6 and warnings == []
+    assert all(f.residual(x) < 1e-8 for x in moved)
+    assert len(compiled) == 1
 
 
 def test_h2_counts_partition_omega():

@@ -105,6 +105,16 @@ def test_refine_on_rejects_points_newton_has_not_contracted():
     assert refine_on(H, np.array([1.001 + 0j])) is None
 
 
+def test_refine_on_keeps_a_real_start_exactly_real():
+    # complex Newton from a real point on a real-coefficient system never
+    # leaves the reals, so real_filter can keep the real part unchanged
+    f = parse("x^2 + y^2 - 1\n0.874645*x + 1.0351*y - 0.3", XY)
+    refined = refine_on(HomotopyPair(f, f, 1.0), np.array([0.98 + 0j, -0.52 + 0j]))
+    assert refined is not None
+    assert f.residual(refined) < 1e-12
+    assert np.all(refined.imag == 0.0)
+
+
 @pytest.mark.parametrize("start, cfg", [
     (0.0, TrackConfig()),                      # x^2 - 1 has a singular Jacobian at 0
     (50.0, TrackConfig(newton_max_iters=1)),   # one Newton step cannot reach x = 1
@@ -121,18 +131,17 @@ def test_track_stage_rejects_a_start_newton_cannot_correct(monkeypatch, start, c
 
     monkeypatch.setattr(lph.start_systems, "track_path", recording)
     starts = [np.array([start + 0j]), np.array([1.0 + 0j])]
-    (rejected, none), (res, refined) = track_stage(H, starts, cfg, target)
+    rejected, res = track_stage(H, starts, cfg)
     assert rejected == lph.tracker.PathResult(FAILED, None, 0.0, float("inf"), 0,
                                               START_REJECTED)
-    assert none is None
     assert len(tracked) == 1
     assert res.status == CONVERGED
-    assert abs(abs(refined[0]) - 2.0) < 1e-12
+    assert abs(abs(res.endpoint[0]) - 2.0) < 1e-12
 
 
 @pytest.mark.parametrize("text", ["x^2 - 1\ny - 2", "x^3 - 1\ny^2 + x - 2"])
-def test_solve_square_compiles_two_evaluators(monkeypatch, text):
-    # one for the homotopy and one refinement pair, whatever the path count
+def test_solve_square_compiles_one_evaluator(monkeypatch, text):
+    # the homotopy's, whatever the path count: endpoints are not re-refined
     compiled = []
     original = lph.tracker.SystemEvaluator.__init__
 
@@ -143,7 +152,7 @@ def test_solve_square_compiles_two_evaluators(monkeypatch, text):
     monkeypatch.setattr(lph.tracker.SystemEvaluator, "__init__", counting)
     sols = solve_square(parse(text, XY))
     assert len(sols) >= 2
-    assert len(compiled) == 2
+    assert len(compiled) == 1
 
 
 def test_solve_square_quadratic():
@@ -183,8 +192,8 @@ def test_solve_square_rejects_non_square():
 
 def test_witness_points_circle():
     circle = PolySystem(2, [parse_poly("x^2 + y^2 - 1", XY)])
-    M, D, sl = witness_points(circle, np.random.default_rng(0))
-    assert D == 2
+    M, sl = witness_points(circle, np.random.default_rng(0))
+    assert len(M) == 2
     assert all(circle.residual(m) < 1e-8 for m in M)
     assert all(abs(l.evaluate(m)) < 1e-8 for m in M for l in sl.L)
 
@@ -192,11 +201,11 @@ def test_witness_points_circle():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_witness_points_sextic_degree(seed):
     f = PolySystem(2, [parse_poly(SEXTIC, XY)])
-    M, D, _ = witness_points(f, np.random.default_rng(seed))
-    assert D == 6
+    M, _ = witness_points(f, np.random.default_rng(seed))
+    assert len(M) == 6
 
 
 def test_witness_points_sparse_pair_degree():
     f = parse("-62*x*y + 97*y - 4*x*y*z - 4\n80*x - 44*x*y + 71*y^2 - 17*y^3 + 2", XYZ)
-    M, D, _ = witness_points(f, np.random.default_rng(0))
-    assert D == 7
+    M, _ = witness_points(f, np.random.default_rng(0))
+    assert len(M) == 7

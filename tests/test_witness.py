@@ -111,7 +111,8 @@ def test_real_witness_set_square_case():
 
 def test_real_witness_set_circle_stages():
     rws = real_witness_set(_circle(), rng=np.random.default_rng(4))
-    beta = np.asarray(rws.beta_used, dtype=float)
+    assert len(rws.betas) == 1
+    beta = rws.betas[0]
     unit = beta / np.linalg.norm(beta)
     stage0 = [wp.point for wp in rws.points if wp.stage == 0]
     assert len(stage0) == 2
@@ -141,3 +142,25 @@ def test_real_witness_set_rejects_overdetermined():
     f = parse("x - 1\ny - 1\nx + y", XY)
     with pytest.raises(ValueError):
         real_witness_set(f)
+
+
+CYLINDERS = [
+    ["x^2 + y^2 - 1"],
+    ["x^2 + y^2 - 1", "(x - 3)^2 + y^2 - 1"],
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("factors", CYLINDERS, ids=["cylinder", "two-cylinders"])
+def test_real_witness_set_surface_has_a_point_on_every_component(factors, seed):
+    # V(f) in R^3 is one cylinder per factor.  Stage 1 slices with
+    # betas[0] . x + c_0 = 0, on which betas[0] . x is constant, so it needs
+    # an objective of its own to have isolated critical points.
+    xyz = ["x", "y", "z"]
+    f = PolySystem(3, [parse_poly("*".join(f"({q})" for q in factors), xyz)])
+    rws = real_witness_set(f, rng=np.random.default_rng(seed))
+    assert len(rws.betas) == 2
+    for q in factors:
+        circle = parse_poly(q, xyz)
+        assert any(abs(circle.evaluate(wp.point.astype(complex))) < 1e-6
+                   for wp in rws.points), q
