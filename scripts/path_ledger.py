@@ -4,13 +4,12 @@ a change and of its parent commit, shows whether every path kept its status,
 exit reason and step count.
 
     python3 scripts/path_ledger.py --workload sextic_witness --seed 7
-    python3 scripts/path_ledger.py --workload random_batch --seed 100 --digits 8
+    python3 scripts/path_ledger.py --workload random_batch --seed 100
 
 A path line reads ``path STATUS REASON STEPS T_REACHED DIGEST`` and an
 output line ``op LABEL ok=... SUMMARY DIGEST``.  A digest is the first 16 hex
 digits of the SHA-256 of a point's (or an output's points') bytes, ``-`` for
-a path without endpoint.  With ``--digits D`` the points are rounded to D
-decimals first, so differences at round-off below that do not show.
+a path without endpoint.
 
 The workloads, their inputs, seeds and checks are those of
 ``perfbench/workloads.py``, which this script only imports.
@@ -33,35 +32,31 @@ from run import DEFAULT_SEEDS, WORKLOADS  # noqa: E402
 from workloads import build_setup, operations  # noqa: E402
 
 
-def digest(points, digits=None) -> str:
+def digest(points) -> str:
     if points is None:
         return "-"
     h = hashlib.sha256()
     for z in points:
-        z = np.asarray(z, dtype=complex)
-        if digits is not None:
-            z = np.round(z, digits) + 0j  # + 0j turns -0.0 into 0.0
-        h.update(z.tobytes())
+        h.update(np.asarray(z, dtype=complex).tobytes())
     return h.hexdigest()[:16]
 
 
-def summary(out, digits) -> str:
+def summary(out) -> str:
     """Counts and a digest of a workload operation's output."""
     if isinstance(out, lph.LPHResult):
         return (f"D={out.D} omega={out.omega_count} bound={out.bound} "
                 f"converged={out.converged} divergent={out.divergent} failed={out.failed} "
                 f"solutions={len(out.solutions)} warnings={out.warnings!r} "
-                f"{digest(out.solutions, digits)}")
+                f"{digest(out.solutions)}")
     stages = [wp.stage for wp in out.points]
     return (f"points={len(out.points)} stages={stages} "
-            f"{digest([wp.point for wp in out.points], digits)}")
+            f"{digest([wp.point for wp in out.points])}")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="per-path ledger of one workload pass")
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--seed", type=int, help="input seed (default: the benchmark's)")
-    ap.add_argument("--digits", type=int, help="round points to this many decimals")
     args = ap.parse_args(argv)
     seed = DEFAULT_SEEDS[args.workload] if args.seed is None else args.seed
 
@@ -71,7 +66,7 @@ def main(argv=None) -> int:
         res = original(H, z0, cfg)
         end = None if res.endpoint is None else [res.endpoint]
         print(f"path {res.status} {res.reason} {res.steps_taken} {res.t_reached!r} "
-              f"{digest(end, args.digits)}")
+              f"{digest(end)}")
         return res
 
     # every module that imported track_path by name holds its own binding
@@ -84,7 +79,7 @@ def main(argv=None) -> int:
         out = op.call()
         outcome = op.check(out)
         ok = ok and outcome.ok
-        print(f"op {op.label} ok={outcome.ok} {summary(out, args.digits)}")
+        print(f"op {op.label} ok={outcome.ok} {summary(out)}")
     return 0 if ok else 1
 
 
