@@ -62,8 +62,8 @@ def main(argv=None) -> int:
 
     original = lph.tracker.track_path
 
-    def ledger(H, z0, cfg=None):
-        res = original(H, z0, cfg)
+    def ledger(H, z0):
+        res = original(H, z0)
         end = None if res.endpoint is None else [res.endpoint]
         print(f"path {res.status} {res.reason} {res.steps_taken} {res.t_reached!r} "
               f"{digest(end)}")

@@ -39,8 +39,8 @@ from .solver import (
     root_bound,
 )
 from .start_systems import AllPathsFailedError, witness_points
-from .tracker import NoConvergenceError, TrackConfig
-from .witness import RealFilterConfig, real_witness_set, witness_bound
+from .tracker import NoConvergenceError
+from .witness import real_witness_set, witness_bound
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -214,32 +214,32 @@ def _parse_float_list(text: str, flag: str) -> List[float]:
 
 
 def _beta(args, inp: SystemInput, saved=None) -> np.ndarray:
-    """Beta from --beta (one number per variable), else from the input
-    file, else ``saved`` (the beta a solutions file was solved with)."""
+    """Beta from --beta, else from the input file, else ``saved`` (the beta
+    echoed in a solutions file).  --beta and the echo must each hold one
+    number per variable."""
     if args.beta is not None:
-        beta = _parse_float_list(args.beta, "--beta")
-        if len(beta) != inp.n:
-            raise InputFormatError("--beta length does not match vars")
-        return np.array(beta, dtype=complex)
-    if inp.beta is not None:
+        beta, source = _parse_float_list(args.beta, "--beta"), "--beta"
+    elif inp.beta is not None:
         return inp.beta
-    if saved is not None:
-        return np.array(saved, dtype=complex)
-    raise InputFormatError(f"{args.command} requires a beta line or --beta")
-
-
-def _track_config(args) -> TrackConfig:
-    return TrackConfig(newton_tol=args.newton_tol, max_steps=args.max_steps)
+    elif saved is not None:
+        if not isinstance(saved, list) or not all(
+                isinstance(b, (int, float)) and not isinstance(b, bool) for b in saved):
+            raise InputFormatError("system.beta in the solutions file must be a list of numbers")
+        beta, source = saved, "system.beta"
+    else:
+        raise InputFormatError(f"{args.command} requires a beta line or --beta")
+    if len(beta) != inp.n:
+        raise InputFormatError(f"{source} length does not match vars")
+    return np.array(beta, dtype=complex)
 
 
 def cmd_solve(args) -> int:
     inp = read_system(args.input)
     beta = _beta(args, inp)
     problem = LPHProblem(inp.f, inp.J, beta)
-    cfg = _track_config(args)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
-    result = lph_solve(problem, cfg, rng, dedup_tol=args.dedup_tol)
+    result = lph_solve(problem, rng)
     elapsed = time.perf_counter() - t0
     original = problem.full_system()
 
@@ -286,19 +286,9 @@ def cmd_witness(args) -> int:
     has_beta = args.beta is not None or inp.beta is not None
     beta = _beta(args, inp).real if has_beta else None
     c_values = _parse_float_list(args.c, "--c") if args.c is not None else None
-    cfg = _track_config(args)
     rng = np.random.default_rng(args.seed)
-    filter_cfg = RealFilterConfig(tau_imag=args.tau_imag)
     t0 = time.perf_counter()
-    rws = real_witness_set(
-        inp.f,
-        cfg,
-        rng,
-        beta=beta,
-        c_values=c_values,
-        filter_cfg=filter_cfg,
-        dedup_tol=args.dedup_tol,
-    )
+    rws = real_witness_set(inp.f, rng, beta=beta, c_values=c_values)
     elapsed = time.perf_counter() - t0
 
     records = [
@@ -338,10 +328,9 @@ def cmd_bound(args) -> int:
     d = jacobian_degree(inp.J)
     d_f = max(max(p.degree, 1) for p in inp.f.polys)
     prod_deg = math.prod(max(p.degree, 1) for p in inp.f.polys)
-    cfg = _track_config(args)
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
-    D = len(witness_points(inp.f, rng, cfg)[0])
+    D = len(witness_points(inp.f, rng)[0])
     elapsed = time.perf_counter() - t0
     eq3 = root_bound(n, k, d, D)
     eq6 = witness_bound(n, k, d_f, D) if d_f > 1 else None
@@ -417,20 +406,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if status else EXIT_VERIFY_FAIL
 
 
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return v
-
-
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return v
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lph",
@@ -442,14 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {
         "--seed": dict(type=int, default=None, help="RNG seed (default: $LPH_SEED or 0)"),
         "--json": dict(action="store_true", help="emit JSON instead of text"),
-        "--newton-tol": dict(type=_positive_float, default=1e-10),
-        "--max-steps": dict(type=_positive_int, default=10000),
-        "--dedup-tol": dict(type=_positive_float, default=1e-6),
         "--beta": dict(default=None, help="comma-separated beta override"),
-        "--tau-imag": dict(type=_positive_float, default=1e-6),
         "--c": dict(default=None, help="comma-separated c values"),
     }
-    tracking = ("--seed", "--json", "--newton-tol", "--max-steps")
 
     def command(name, help, *names):
         p = sub.add_parser(name, help=help)
@@ -458,10 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **flags[flag])
         return p
 
-    command("solve", "solve {f, J*lambda - beta}", *tracking, "--dedup-tol", "--beta")
-    command("witness", "real witness set of V_R(f)", *tracking, "--dedup-tol", "--beta",
-            "--tau-imag", "--c")
-    command("bound", "degree and root-count bounds", *tracking)
+    command("solve", "solve {f, J*lambda - beta}", "--seed", "--json", "--beta")
+    command("witness", "real witness set of V_R(f)", "--seed", "--json", "--beta", "--c")
+    command("bound", "degree and root-count bounds", "--seed", "--json")
     p_verify = command("verify", "re-check a JSON solution file", "--beta")
     p_verify.add_argument("solutions", help="JSON solutions file")
     return parser
@@ -503,8 +472,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
-        # remaining ValueErrors come from input validation (shape and
-        # positivity checks in the library constructors)
+        # remaining ValueErrors come from input validation (shape checks
+        # in the library constructors)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

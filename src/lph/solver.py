@@ -20,7 +20,6 @@ import numpy as np
 from .linalg import InvalidBetaError, SingularMatrixError, beta_normalizer, lu_solve
 from .poly import MultiPoly, PolySystem
 from .start_systems import (
-    DEDUP_TOL,
     RESIDUAL_TOL,
     START_REJECTED,
     dedup_points,
@@ -36,7 +35,6 @@ from .tracker import (  # noqa: F401
     DIVERGENT,
     FAILED,
     HomotopyPair,
-    TrackConfig,
     track_path,
 )
 
@@ -155,10 +153,6 @@ class LinearProductG:
     g_last_row: List[MultiPoly]       # J_prime[n-1], n x-vars
     system: PolySystem                # assembled G, n+k vars
 
-    @property
-    def N(self) -> int:
-        return self.n + self.k
-
 
 def build_G(np_: NormalizedProblem, rng: np.random.Generator) -> LinearProductG:
     p = np_.original
@@ -227,7 +221,6 @@ def h1_track(
     f: PolySystem,
     L: List[MultiPoly],
     L_prime: List[MultiPoly],
-    cfg: TrackConfig,
     gamma1: complex,
     warnings: list,
 ) -> List[np.ndarray]:
@@ -237,7 +230,7 @@ def h1_track(
     target = PolySystem(n, list(f.polys) + list(L_prime))
     H = HomotopyPair(start, target, gamma1)
     out = []
-    for res in track_stage(H, M, cfg):
+    for res in track_stage(H, M):
         if res.reason == START_REJECTED:
             warnings.append("H1 start correction failed")
         elif res.status != CONVERGED:
@@ -283,9 +276,9 @@ class LPHResult:
     warnings: List[str] = field(default_factory=list)
 
 
-def _solve_constant_J(p: LPHProblem, cfg, rng, dedup_tol) -> LPHResult:
+def _solve_constant_J(p: LPHProblem, rng) -> LPHResult:
     # Degenerate d = 0 route: J is constant, so lambda decouples from x.
-    M, _ = witness_points(p.f, rng, cfg)
+    M, _ = witness_points(p.f, rng)
     Jc = np.array(
         [[entry.evaluate(np.zeros(p.n, dtype=complex)) for entry in row] for row in p.J],
         dtype=complex,
@@ -296,39 +289,37 @@ def _solve_constant_J(p: LPHProblem, cfg, rng, dedup_tol) -> LPHResult:
         for x in M:
             solutions.append(np.concatenate([x, lam]))
     return LPHResult(
-        dedup_points(solutions, dedup_tol), len(M), 0, 0, len(solutions), 0, 0, witness_M=M
+        dedup_points(solutions), len(M), 0, 0, len(solutions), 0, 0, witness_M=M
     )
 
 
-def lph_solve(
-    p: LPHProblem,
-    cfg: Optional[TrackConfig] = None,
-    rng: Optional[np.random.Generator] = None,
-    dedup_tol: float = DEDUP_TOL,
-) -> LPHResult:
+def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHResult:
     """All isolated solutions of {f, J * lambda - beta} via the
     linear-product start system (witness slice -> slice moves -> lambda
     back-solve -> final homotopy to the target)."""
-    cfg = cfg or TrackConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     n, k, d = p.n, p.k, p.d
     if d == 0:
-        return _solve_constant_J(p, cfg, rng, dedup_tol)
+        return _solve_constant_J(p, rng)
 
     warnings: List[str] = []
-    M, sliced = witness_points(p.f, rng, cfg)
+    M, sliced = witness_points(p.f, rng)
     D = len(M)
     np_ = normalize(p)
     G = build_G(np_, rng)
     gamma1 = unit_complex(rng)
     gamma2 = unit_complex(rng)
+    # a row of J that is identically zero against a nonzero beta entry reads
+    # 0 = beta_i: the system has no solution, so no path is tracked
+    if any(b != 0 and all(entry.is_zero for entry in row) for row, b in zip(p.J, p.beta)):
+        return LPHResult([], D, 0, root_bound(n, k, d, D), 0, 0, 0, witness_M=M)
 
     omega: List[np.ndarray] = []
     for choice in enumerate_choices(n, k, d):
         L_prime = [
             G.l_x[row][pick] for row, pick in zip(choice.picked_rows(), choice.factor_pick)
         ]
-        M_prime = h1_track(M, p.f, sliced.L, L_prime, cfg, gamma1, warnings)
+        M_prime = h1_track(M, p.f, sliced.L, L_prime, gamma1, warnings)
         for x_star in M_prime:
             try:
                 lam = backsolve_lambda(x_star, G, choice)
@@ -346,7 +337,7 @@ def lph_solve(
     R = HomotopyPair(original, original, 1.0)
     counts = {CONVERGED: 0, DIVERGENT: 0, FAILED: 0}
     endpoints = []
-    for res in track_stage(H2, omega, cfg):
+    for res in track_stage(H2, omega):
         if res.reason == START_REJECTED:
             warnings.append("H2 start correction failed")
         refined = refine_on(R, res.endpoint) if res.status == CONVERGED else None
@@ -354,7 +345,7 @@ def lph_solve(
         counts[FAILED if res.status == CONVERGED and refined is None else res.status] += 1
         if refined is not None:
             endpoints.append(refined)
-    solutions = dedup_points(endpoints, dedup_tol)
+    solutions = dedup_points(endpoints)
     solutions.sort(key=lambda z: tuple(v for c in z for v in (c.real, c.imag)))
     return LPHResult(
         solutions,

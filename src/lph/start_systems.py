@@ -23,6 +23,7 @@ from .poly import MultiPoly, PolySystem
 from .tracker import (
     CONVERGED,
     FAILED,
+    PATH_NEWTON,
     HomotopyPair,
     NoConvergenceError,
     PathResult,
@@ -106,10 +107,10 @@ def total_degree_roots(ts: TotalDegreeStart) -> Iterator[np.ndarray]:
         yield np.array(root, dtype=complex)
 
 
-def dedup_points(points, tol: float = DEDUP_TOL):
+def dedup_points(points):
     kept: list = []
     for p in points:
-        if not any(np.abs(p - q).max() < tol for q in kept):
+        if not any(np.abs(p - q).max() < DEDUP_TOL for q in kept):
             kept.append(p)
     return kept
 
@@ -123,24 +124,22 @@ def refine_on(R: HomotopyPair, point: np.ndarray) -> Optional[np.ndarray]:
     return None if refined is None else refined[0]
 
 
-def track_stage(H: HomotopyPair, starts, cfg: TrackConfig) -> List[PathResult]:
+def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
     """Run every start point of one homotopy stage: Newton-correct it at
     t = 0, then track it.  Returns one PathResult per start, in order."""
     records = []
     for s in starts:
         try:
-            z0 = newton_correct(H, s, 0.0, cfg)
+            z0 = newton_correct(H, s, 0.0, PATH_NEWTON)
         except (SingularMatrixError, NoConvergenceError):
             records.append(PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED))
             continue
-        records.append(track_path(H, z0, cfg))
+        records.append(track_path(H, z0))
     return records
 
 
-def solve_square(F: PolySystem, cfg: Optional[TrackConfig] = None,
-                 rng: Optional[np.random.Generator] = None) -> List[np.ndarray]:
+def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> List[np.ndarray]:
     """All isolated solutions of a square system via a total-degree homotopy."""
-    cfg = cfg or TrackConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
     if len(F) != F.n_vars:
         raise ValueError("system must be square")
@@ -153,17 +152,16 @@ def solve_square(F: PolySystem, cfg: Optional[TrackConfig] = None,
     gamma = unit_complex(rng)
     H = HomotopyPair(ts.system(), F, gamma)
     # the start roots pass the tracker's start test, so correction keeps them
-    records = track_stage(H, total_degree_roots(ts), cfg)
+    records = track_stage(H, total_degree_roots(ts))
     endpoints = [res.endpoint for res in records if res.status == CONVERGED]
     if not endpoints and records and all(res.status == FAILED for res in records):
         raise AllPathsFailedError("every path of the total-degree homotopy failed")
     return dedup_points(endpoints)
 
 
-def witness_points(f: PolySystem, rng: Optional[np.random.Generator] = None,
-                   cfg: Optional[TrackConfig] = None):
+def witness_points(f: PolySystem, rng: Optional[np.random.Generator] = None):
     """Witness points of V(f) on a random slice, and the SlicedSystem they
     solve; the witness degree D is their count."""
     rng = rng if rng is not None else np.random.default_rng(0)
     sliced = random_slice(f, rng)
-    return solve_square(sliced.square, cfg, rng), sliced
+    return solve_square(sliced.square, rng), sliced

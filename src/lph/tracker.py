@@ -18,7 +18,7 @@ Each ``PathResult`` also names the exit that ended the path (its
   (Divergent);
 - ``min-step``: the step was halved below ``MIN_STEP`` (Divergent when the
   tangent points outward, else Failed);
-- ``max-steps``: the step budget ``TrackConfig.max_steps`` ran out (Failed);
+- ``max-steps``: the step budget ``MAX_STEPS`` ran out (Failed);
 - ``refine-rejected``: the path reached the tail but ``refine_endpoint``
   rejected its endpoint, by the residual or the contraction test (Divergent
   beyond ``DIVERGENCE_NORM``, else Failed).
@@ -31,7 +31,7 @@ path to infinity, is judged again with its columns scaled to the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -134,17 +134,26 @@ DIVERGENCE_NORM = 1e7
 T_ENDGAME = 1e-3
 T_END = 1.0 - T_ENDGAME
 T_TAIL = 1.0 - 1e-5 * T_ENDGAME
+# A path that takes this many steps without reaching T_TAIL is Failed.
+MAX_STEPS = 10000
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackConfig:
+    """Newton's residual tolerance and iteration budget."""
+
     newton_tol: float = 1e-10
     newton_max_iters: int = 10
-    max_steps: int = 10000
 
     def __post_init__(self):
         if self.newton_tol <= 0:
             raise ValueError("newton_tol must be positive")
+
+
+# Newton of a path: the full budget (start, endgame, endpoint), and the
+# tight budget of a corrector step (see track_path)
+PATH_NEWTON = TrackConfig()
+STEP_NEWTON = TrackConfig(newton_max_iters=2)
 
 
 class HomotopyPair:
@@ -272,12 +281,11 @@ def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
     return z1, residual
 
 
-def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathResult:
-    cfg = cfg or TrackConfig()
+def track_path(H: HomotopyPair, z0) -> PathResult:
     z = np.asarray(z0, dtype=complex).copy()
     if z.shape != (H.n_vars,):
         raise InvalidStartError("start point has wrong dimension")
-    if np.abs(H.eval_h(z, 0.0)).max() > cfg.newton_tol * max(1.0, H.scale(z, 0.0)):
+    if np.abs(H.eval_h(z, 0.0)).max() > PATH_NEWTON.newton_tol * max(1.0, H.scale(z, 0.0)):
         raise InvalidStartError("start point does not satisfy the start system")
 
     t = 0.0
@@ -285,17 +293,13 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
     successes = 0
     steps_taken = 0
     norm = float(np.abs(z).max())
-    # Tight per-step corrector budget: a predictor point that needs many
-    # Newton iterations has likely strayed toward another path, so fail the
-    # step and halve instead.  The full budget is reserved for the endgame.
-    step_cfg = replace(cfg, newton_max_iters=min(cfg.newton_max_iters, 2))
 
     # tangent at (z, t): kept through a rejected step, where neither moves,
     # and taken over from the angle check of an accepted step, which
     # computed it at the new (z, t)
     dz = None
     while t < T_TAIL:
-        if steps_taken >= cfg.max_steps:
+        if steps_taken >= MAX_STEPS:
             return PathResult(FAILED, None, t, float("inf"), steps_taken, "max-steps")
         if t >= T_END:
             # Geometric tail: cap the step by a fraction of the remaining
@@ -303,15 +307,18 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
             h = min(step, 0.5 * (1.0 - t), T_TAIL - t)
         else:
             h = min(step, T_END - t)
-        # once the step is tiny the prediction is accurate and jumping is
-        # not a concern, so give Newton its full budget and drop the guard
+        # Tight per-step corrector budget: a predictor point that needs many
+        # Newton iterations has likely strayed toward another path, so fail
+        # the step and halve instead.  Once the step is tiny the prediction
+        # is accurate and jumping is not a concern, so give Newton its full
+        # budget and drop the guard.
         tight = h > 1e-4
         dz_next = None
         try:
             if dz is None:
                 dz = davidenko_rhs(H, z, t)
             z_pred = z + h * dz
-            z_new = newton_correct(H, z_pred, t + h, step_cfg if tight else cfg)
+            z_new = newton_correct(H, z_pred, t + h, STEP_NEWTON if tight else PATH_NEWTON)
             if tight:
                 # corrector success also requires the correction to stay
                 # small against the predicted move; a large pull-back means
@@ -319,7 +326,7 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
                 move = float(np.abs(z_pred - z).max())
                 corr = float(np.abs(z_new - z_pred).max())
                 ok = corr <= max(
-                    0.5 * move, 10 * cfg.newton_tol * (1.0 + float(np.abs(z).max()))
+                    0.5 * move, 10 * PATH_NEWTON.newton_tol * (1.0 + float(np.abs(z).max()))
                 )
             else:
                 ok = True
@@ -355,7 +362,7 @@ def track_path(H: HomotopyPair, z0, cfg: Optional[TrackConfig] = None) -> PathRe
                 status = DIVERGENT if growing else FAILED
                 return PathResult(status, None, t, float("inf"), steps_taken, "min-step")
 
-    refined = refine_endpoint(H, z, cfg, 100 * cfg.newton_tol)
+    refined = refine_endpoint(H, z, PATH_NEWTON, 100 * PATH_NEWTON.newton_tol)
     steps_taken += 1
     if refined is None:
         status = DIVERGENT if float(np.abs(z).max()) > DIVERGENCE_NORM else FAILED

@@ -17,20 +17,13 @@ import numpy as np
 from .poly import MultiPoly, PolySystem, jacobian_transpose
 from .solver import LPHProblem, lph_solve
 from .start_systems import DEDUP_TOL, refine_on, solve_square
-from .tracker import HomotopyPair, SystemEvaluator, TrackConfig
+from .tracker import HomotopyPair, SystemEvaluator
 
 logger = logging.getLogger(__name__)
 
 REAL_RESIDUAL_TOL = 1e-6
-
-
-@dataclass
-class RealFilterConfig:
-    tau_imag: float = 1e-6
-
-    def __post_init__(self):
-        if self.tau_imag <= 0:
-            raise ValueError("tau_imag must be positive")
+# a point is near-real when every imaginary part is below this
+TAU_IMAG = 1e-6
 
 
 @dataclass
@@ -62,18 +55,15 @@ def augment(f: PolySystem, beta, c: float) -> PolySystem:
     return PolySystem(n, list(f.polys) + [MultiPoly(n, terms)])
 
 
-def real_filter(
-    points, cfg: Optional[RealFilterConfig], square_system: PolySystem
-) -> List[np.ndarray]:
+def real_filter(points, square_system: PolySystem) -> List[np.ndarray]:
     """Keep near-real points, drop imaginary parts and re-converge them with
     ``refine_on`` on the (real-coefficient) square system.  Newton from a
     real point on a real system stays real, so the kept points are real."""
-    cfg = cfg or RealFilterConfig()
     R = HomotopyPair(square_system, square_system, 1.0)
     out = []
     for z in points:
         z = np.asarray(z, dtype=complex)
-        if np.abs(z.imag).max() >= cfg.tau_imag:
+        if np.abs(z.imag).max() >= TAU_IMAG:
             continue
         x = refine_on(R, z.real)
         if x is not None:
@@ -112,21 +102,16 @@ def full_rank_check(f: PolySystem, sample_points) -> List[dict]:
 
 def real_witness_set(
     f: PolySystem,
-    cfg: Optional[TrackConfig] = None,
     rng: Optional[np.random.Generator] = None,
     beta=None,
     c_values=None,
-    filter_cfg: Optional[RealFilterConfig] = None,
-    dedup_tol: float = DEDUP_TOL,
 ) -> RealWitnessSet:
     """Real witness points of V_R(f), tagged by the recursion stage that
     produced them.  Critical stage s finds the critical points of betas[s] . x
     and then augments with the hyperplane betas[s] . x + c_s = 0; betas[0] is
     `beta` (drawn when None), and each later stage draws a fresh objective,
     since betas[s-1] . x is constant on stage s's slice."""
-    cfg = cfg or TrackConfig()
     rng = rng if rng is not None else np.random.default_rng(0)
-    filter_cfg = filter_cfg or RealFilterConfig()
     n, k0 = f.n_vars, len(f)
     if k0 > n:
         raise ValueError("more equations than variables")
@@ -149,20 +134,19 @@ def real_witness_set(
     for stage in range(n_stages + 1):
         k = k0 + stage
         if k == n:
-            sols = solve_square(cur, cfg, rng)
-            reals = real_filter(sols, filter_cfg, cur)
+            reals = real_filter(solve_square(cur, rng), cur)
         else:
             prob = build_critical_system(cur, betas[stage])
-            result = lph_solve(prob, cfg, rng, dedup_tol=dedup_tol)
+            result = lph_solve(prob, rng)
             for w in result.warnings:
                 logger.warning("stage %d: %s", stage, w)
             full_rank_check(cur, result.witness_M)
-            reals_full = real_filter(result.solutions, filter_cfg, prob.full_system())
+            reals_full = real_filter(result.solutions, prob.full_system())
             reals = [r[:n] for r in reals_full]
         for x in reals:
             if f.residual(x.astype(complex)) > REAL_RESIDUAL_TOL:
                 continue
-            if any(np.abs(x - wp.point).max() < dedup_tol for wp in kept):
+            if any(np.abs(x - wp.point).max() < DEDUP_TOL for wp in kept):
                 continue
             kept.append(WitnessPoint(x, stage, f.residual(x.astype(complex))))
         if k < n:

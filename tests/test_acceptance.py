@@ -223,8 +223,8 @@ def test_criterion_7_numerical_hygiene(monkeypatch):
     results = []
     original = lph.start_systems.track_path
 
-    def recording(H, z0, cfg=None):
-        results.append(original(H, z0, cfg))
+    def recording(H, z0):
+        results.append(original(H, z0))
         return results[-1]
 
     monkeypatch.setattr(lph.start_systems, "track_path", recording)

@@ -10,6 +10,7 @@ from lph.cli import (
     EXIT_PARSE,
     EXIT_VERIFY_FAIL,
     InputFormatError,
+    build_parser,
     main,
     read_system,
     to_json,
@@ -227,6 +228,21 @@ def test_verify_takes_beta_from_solutions_file(tmp_path, capsys):
     assert main(["verify", str(p), str(sol)]) == EXIT_OK
 
 
+@pytest.mark.parametrize("echo", [[1, 0, 2], {"x": 1}, "1,0", [[1, 0]]],
+                         ids=["length-3", "dict", "string", "nested"])
+def test_verify_malformed_echoed_beta_exit_2(tmp_path, capsys, echo):
+    # the echoed beta is checked like --beta: one number per variable
+    p = tmp_path / "nobeta.lph"
+    p.write_text("vars: x y\nf:\n  x^2 + y^2 - 1\nJ: jacobian\n")
+    assert main(["solve", str(p), "--seed", "1", "--json", "--beta", "1,0"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    doc["system"]["beta"] = echo
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps(doc))
+    assert main(["verify", str(p), str(sol)]) == EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: system.beta")
+
+
 @pytest.mark.parametrize("doc", [
     '{"solutions": [{"y": [[1, 0]]}]}',   # a record without "x"
     '[{"x": [[1, 0], [0, 0]]}]',          # a top-level list
@@ -260,17 +276,30 @@ def test_bad_env_seed(circle_file, capsys, monkeypatch):
     assert main(["solve", circle_file]) == EXIT_PARSE
 
 
-def test_flag_validation_exit_2(circle_file):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", circle_file, "--newton-tol", "-1"])
-    assert exc.value.code == 2
+def test_flag_validation_exit_2(circle_file, capsys):
+    assert main(["solve", circle_file, "--seed", "-1"]) == EXIT_PARSE
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_unread_flag_exit_2(circle_file):
-    # bound does not filter real points, so it does not take --tau-imag
+    # bound takes no witness offsets, so it does not take --c
     with pytest.raises(SystemExit) as exc:
-        main(["bound", circle_file, "--tau-imag", "1"])
+        main(["bound", circle_file, "--c", "1"])
     assert exc.value.code == 2
+
+
+def test_subcommand_flag_sets():
+    # each subcommand registers only the flags it reads, and every one of
+    # them is an input or an output format, not a numerical setting
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {name: {opt for action in p._actions for opt in action.option_strings}
+             - {"-h", "--help"} for name, p in subparsers.choices.items()}
+    assert flags == {
+        "solve": {"--seed", "--json", "--beta"},
+        "witness": {"--seed", "--json", "--beta", "--c"},
+        "bound": {"--seed", "--json"},
+        "verify": {"--beta"},
+    }
 
 
 def test_zero_constant_J_yields_empty_solve(tmp_path, capsys):

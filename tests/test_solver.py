@@ -17,7 +17,6 @@ from lph.solver import (
     root_bound,
 )
 from lph.start_systems import random_slice, solve_square, witness_points
-from lph.tracker import TrackConfig
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -231,8 +230,8 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
     h2 = []
     original = lph.start_systems.track_path
 
-    def recording(H, z0, cfg=None):
-        res = original(H, z0, cfg)
+    def recording(H, z0):
+        res = original(H, z0)
         if H.n_vars == 3:  # (x, y, lambda): H2; H1 tracks (x, y)
             h2.append(res)
         return res
@@ -266,7 +265,7 @@ def test_h1_track_compiles_one_evaluator(monkeypatch):
 
     monkeypatch.setattr(lph.tracker.SystemEvaluator, "__init__", counting)
     warnings = []
-    moved = h1_track(M, f, sliced.L, L_prime, TrackConfig(), 0.6 + 0.8j, warnings)
+    moved = h1_track(M, f, sliced.L, L_prime, 0.6 + 0.8j, warnings)
     assert len(moved) == 6 and warnings == []
     assert all(f.residual(x) < 1e-8 for x in moved)
     assert len(compiled) == 1
@@ -298,3 +297,23 @@ def test_critical_point_on_coordinate_hyperplane_is_found(seed):
                     rng=np.random.default_rng(seed))
     assert res.failed == 0
     assert any(np.abs(s - np.array([0.0, 0.7, 1.0])).max() < 1e-6 for s in res.solutions)
+
+
+def test_zero_jacobian_row_tracks_no_critical_path(monkeypatch):
+    # stage 0 of real_witness_set on two disjoint cylinders in R^3: the z
+    # row of J is identically zero, so its equation reads 0 = beta_z and the
+    # critical system has no solution
+    tracked = []
+    original = lph.start_systems.track_path
+
+    def recording(H, z0):
+        tracked.append(H)
+        return original(H, z0)
+
+    monkeypatch.setattr(lph.start_systems, "track_path", recording)
+    f = parse("(x^2 + y^2 - 1)*((x - 3)^2 + y^2 - 1)", XYZ)
+    p = LPHProblem(f, jacobian_transpose(f), np.array([0.8, -1.1, 0.6], dtype=complex))
+    res = lph_solve(p, rng=np.random.default_rng(0))
+    # only the witness stage runs: the quartic meets a random line 4 times
+    assert len(tracked) == res.D == len(res.witness_M) == 4
+    assert (res.solutions, res.omega_count, res.warnings) == ([], 0, [])

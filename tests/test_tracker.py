@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lph.tracker
 from lph.poly import parse, parse_poly, PolySystem
 from lph.tracker import (
     CONVERGED,
@@ -183,9 +184,10 @@ def test_track_divergent_path():
     # Newton at a triple root does not contract to round-off
     ("x^3 - 1", "x^3", 0.6 + 0.8j, 1.0, 10000, "Failed", "refine-rejected"),
 ])
-def test_path_end_reasons(start, target, gamma, z0, max_steps, status, reason):
+def test_path_end_reasons(monkeypatch, start, target, gamma, z0, max_steps, status, reason):
+    monkeypatch.setattr(lph.tracker, "MAX_STEPS", max_steps)
     H = _pair(start, target, X, gamma=gamma)
-    res = track_path(H, np.array([z0 + 0j]), TrackConfig(max_steps=max_steps))
+    res = track_path(H, np.array([z0 + 0j]))
     assert (res.status, res.reason) == (status, reason)
 
 
@@ -198,11 +200,10 @@ def test_track_bad_start_rejected():
 
 
 def test_converged_residual_contract():
-    cfg = TrackConfig()
     H = _pair("x^2 - 1\ny^2 - 1", "x^2 - 5\ny^2 + x - 3", XY, gamma=0.28 + 0.96j)
     for sx in (1, -1):
         for sy in (1, -1):
-            res = track_path(H, np.array([sx, sy], dtype=complex), cfg)
+            res = track_path(H, np.array([sx, sy], dtype=complex))
             if res.status == CONVERGED:
                 assert res.residual <= 1e-8
 

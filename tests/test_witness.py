@@ -3,7 +3,6 @@ import pytest
 
 from lph.poly import parse, parse_poly, PolySystem
 from lph.witness import (
-    RealFilterConfig,
     augment,
     build_critical_system,
     full_rank_check,
@@ -50,26 +49,19 @@ def test_augment_recursion_reaches_square():
 
 def test_real_filter_threshold():
     square = parse("x - 1\ny - 2", XY)
-    cfg = RealFilterConfig()
-    kept = real_filter([np.array([1 + 1e-9j, 2.0])], cfg, square)
+    kept = real_filter([np.array([1 + 1e-9j, 2.0])], square)
     assert len(kept) == 1
     assert np.allclose(kept[0], [1.0, 2.0])
     assert kept[0].dtype == np.float64
-    dropped = real_filter([np.array([1 + 0.5j, 2.0])], cfg, square)
+    dropped = real_filter([np.array([1 + 0.5j, 2.0])], square)
     assert dropped == []
 
 
 def test_real_filter_refines_onto_real_locus():
     system = parse("x^2 - 2\ny - x", XY)
-    cfg = RealFilterConfig()
-    kept = real_filter([np.array([1.41421 + 1e-8j, 1.41422 - 1e-8j])], cfg, system)
+    kept = real_filter([np.array([1.41421 + 1e-8j, 1.41422 - 1e-8j])], system)
     assert len(kept) == 1
     assert abs(kept[0][0] - np.sqrt(2)) < 1e-8
-
-
-def test_real_filter_config_validation():
-    with pytest.raises(ValueError):
-        RealFilterConfig(tau_imag=0.0)
 
 
 def test_witness_bound_values():
