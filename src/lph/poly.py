@@ -82,12 +82,6 @@ class MultiPoly:
             return -1
         return int(self.exps.sum(axis=1).max())
 
-    def degree_in(self, var_indices: Sequence[int]) -> int:
-        """Max total degree restricted to the given variables (-1 if zero)."""
-        if self.is_zero:
-            return -1
-        return int(self.exps[:, list(var_indices)].sum(axis=1).max())
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -174,52 +168,6 @@ class MultiPoly:
             terms.append((tuple(new), coeff))
         return MultiPoly(n_vars, terms)
 
-    # -- formatting --------------------------------------------------------
-
-    def to_string(self, var_names: Sequence[str]) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for exps, coeff in self._pairs():
-            factors = []
-            c = complex(coeff)
-            if abs(c.imag) <= COEFF_DROP * max(1.0, abs(c.real)):
-                cs = _fmt_real(c.real)
-            else:
-                cs = f"({c.real:.17g}{c.imag:+.17g}i)"
-            vars_part = [
-                f"{var_names[i]}^{e}" if e > 1 else var_names[i]
-                for i, e in enumerate(exps)
-                if e > 0
-            ]
-            if not vars_part:
-                factors.append(cs)
-            elif cs == "1":
-                factors.extend(vars_part)
-            elif cs == "-1":
-                factors.append("-" + "*".join(vars_part))
-                factors = ["*".join(factors)]
-                parts.append(factors[0])
-                continue
-            else:
-                factors.append(cs)
-                factors.extend(vars_part)
-            parts.append("*".join(factors))
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
-
-    def __repr__(self):
-        names = [f"x{i}" for i in range(self.n_vars)]
-        return f"MultiPoly({self.to_string(names)})"
-
-
-def _fmt_real(v: float) -> str:
-    if v == int(v) and abs(v) < 1e15:
-        return str(int(v))
-    return f"{v:.17g}"
-
 
 class PolySystem:
     """A list of polynomials sharing one variable space."""
@@ -242,9 +190,6 @@ class PolySystem:
     def residual(self, point) -> float:
         vals = self.evaluate(point)
         return float(np.abs(vals).max()) if len(vals) else 0.0
-
-    def __repr__(self):
-        return f"PolySystem(n_vars={self.n_vars}, polys={self.polys!r})"
 
 
 def jacobian_transpose(f: PolySystem) -> list:

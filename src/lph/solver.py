@@ -154,7 +154,11 @@ class LinearProductG:
     system: PolySystem                # assembled G, n+k vars
 
 
-def build_G(np_: NormalizedProblem, rng: np.random.Generator) -> LinearProductG:
+def build_G(np_: NormalizedProblem, target: PolySystem,
+            rng: np.random.Generator) -> LinearProductG:
+    """G from the normalized target ``np_.normalized_full_system()``, which
+    the caller assembles once: G shares f and g_n, the target's first k rows
+    and its last row."""
     p = np_.original
     n, k, d = p.n, p.k, p.d
     if d < 1:
@@ -173,10 +177,8 @@ def build_G(np_: NormalizedProblem, rng: np.random.Generator) -> LinearProductG:
     h_coeffs = np.array(
         [[unit_complex(rng) for _ in range(k)] for _ in range(n - 1)], dtype=complex
     )
-    g_last_row = np_.J_prime[n - 1]
-    # f and g_n = J_prime[n-1] * lambda - 1; the product rows go between
-    f_and_g_n = _critical_system(p.f, [g_last_row], [1.0]).polys
-    polys = f_and_g_n[:k]
+    # f, then the product rows, then g_n = J_prime[n-1] * lambda - 1
+    polys = target.polys[:k]
     for i in range(n - 1):
         g = MultiPoly.constant(N, 1.0)
         for fac in l_x[i]:
@@ -185,8 +187,8 @@ def build_G(np_: NormalizedProblem, rng: np.random.Generator) -> LinearProductG:
         for j in range(k):
             h = h + h_coeffs[i, j] * MultiPoly.variable(n + j, N)
         polys.append(g * h)
-    polys.extend(f_and_g_n[k:])
-    return LinearProductG(n, k, d, l_x, h_coeffs, g_last_row, PolySystem(N, polys))
+    polys.append(target.polys[-1])
+    return LinearProductG(n, k, d, l_x, h_coeffs, np_.J_prime[n - 1], PolySystem(N, polys))
 
 
 @dataclass(frozen=True)
@@ -306,7 +308,8 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
     M, sliced = witness_points(p.f, rng)
     D = len(M)
     np_ = normalize(p)
-    G = build_G(np_, rng)
+    target = np_.normalized_full_system()
+    G = build_G(np_, target, rng)
     gamma1 = unit_complex(rng)
     gamma2 = unit_complex(rng)
     # a row of J that is identically zero against a nonzero beta entry reads
@@ -330,7 +333,7 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
                 continue
             omega.append(np.concatenate([x_star, lam]))
 
-    H2 = HomotopyPair(G.system, np_.normalized_full_system(), gamma2)
+    H2 = HomotopyPair(G.system, target, gamma2)
     # H2 tracks the normalized system, so its endpoints are refined against
     # the original one, whose round-off floor can be lower
     original = p.full_system()

@@ -156,6 +156,14 @@ PATH_NEWTON = TrackConfig()
 STEP_NEWTON = TrackConfig(newton_max_iters=2)
 
 
+def residual_within(residual: float, tol: float, magnitude: float) -> bool:
+    """The one acceptance rule for a residual: it counts as zero when it is
+    at most tol * max(1, magnitude), where magnitude is the evaluation scale
+    of the system at the point (``SystemEvaluator.magnitude``), so the bound
+    never falls below the round-off floor of a large point."""
+    return residual <= tol * max(1.0, magnitude)
+
+
 class HomotopyPair:
     """Start/target pair with shared dimension and the gamma constant.
 
@@ -225,25 +233,19 @@ def _cos_angle(u: np.ndarray, v: np.ndarray) -> float:
 
 def newton_correct(H: HomotopyPair, z, t: float, cfg: TrackConfig,
                    polish: int = 0) -> np.ndarray:
-    """Full Newton steps on H(., t) until the inf-norm residual is below
-    cfg.newton_tol (relaxed by the local evaluation magnitude, so the target
-    stays above the round-off floor).  Optional extra polish steps push the
-    residual toward that floor.  Raises on singular Jacobian or
-    non-convergence."""
+    """Full Newton steps on H(., t) until the inf-norm residual passes
+    ``residual_within`` at cfg.newton_tol and H's evaluation magnitude at
+    the point.  Optional extra polish steps push the residual toward the
+    round-off floor.  Raises on singular Jacobian or non-convergence (the
+    residual still fails after cfg.newton_max_iters steps)."""
     z = np.asarray(z, dtype=complex).copy()
-
-    def tol_at(zz):
-        return cfg.newton_tol * max(1.0, H.scale(zz, t))
-
-    converged = False
-    for _ in range(cfg.newton_max_iters):
+    for i in range(cfg.newton_max_iters + 1):
         r = H.eval_h(z, t)
-        if np.abs(r).max() <= tol_at(z):
-            converged = True
+        if residual_within(np.abs(r).max(), cfg.newton_tol, H.scale(z, t)):
             break
+        if i == cfg.newton_max_iters:
+            raise NoConvergenceError(f"Newton did not reach {cfg.newton_tol} at t={t}")
         z = z - lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), r)
-    if not converged and np.abs(H.eval_h(z, t)).max() > tol_at(z):
-        raise NoConvergenceError(f"Newton did not reach {cfg.newton_tol} at t={t}")
     for _ in range(polish):
         r = H.eval_h(z, t)
         try:
@@ -258,7 +260,7 @@ def newton_correct(H: HomotopyPair, z, t: float, cfg: TrackConfig,
 
 def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
     """The endpoint-acceptance rule: Newton at t = 1 with two polish steps,
-    then the target residual must be at most tol * max(1, magnitude) and one
+    then the target residual must pass ``residual_within`` at tol and one
     more Newton step must have contracted to round-off level.  Returns
     (point, residual), or None when the point is rejected."""
     try:
@@ -266,7 +268,7 @@ def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
     except (SingularMatrixError, NoConvergenceError):
         return None
     residual = float(np.abs(H.target_values(z1)).max())
-    if residual > tol * max(1.0, H.target_magnitude(z1)):
+    if not residual_within(residual, tol, H.target_magnitude(z1)):
         return None
     # contraction check: at a regular root the Newton step is at round-off
     # level, while a truncated diverging path (or a point near a singular
@@ -285,7 +287,8 @@ def track_path(H: HomotopyPair, z0) -> PathResult:
     z = np.asarray(z0, dtype=complex).copy()
     if z.shape != (H.n_vars,):
         raise InvalidStartError("start point has wrong dimension")
-    if np.abs(H.eval_h(z, 0.0)).max() > PATH_NEWTON.newton_tol * max(1.0, H.scale(z, 0.0)):
+    if not residual_within(np.abs(H.eval_h(z, 0.0)).max(), PATH_NEWTON.newton_tol,
+                           H.scale(z, 0.0)):
         raise InvalidStartError("start point does not satisfy the start system")
 
     t = 0.0

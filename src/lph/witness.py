@@ -2,7 +2,9 @@
 real variety, via critical points of random linear objectives and recursive
 hyperplane augmentation.  Stage endpoints are used as tracked; only
 ``real_filter``, which moves near-real points onto the real locus, refines
-them again, with ``refine_on``.
+them again, with ``refine_on``.  That refinement is the only acceptance test
+of a witness point: its system (the critical system, or the square system of
+the last stage) contains f's rows.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .tracker import HomotopyPair, SystemEvaluator
 
 logger = logging.getLogger(__name__)
 
-REAL_RESIDUAL_TOL = 1e-6
 # a point is near-real when every imaginary part is below this
 TAU_IMAG = 1e-6
 
@@ -144,8 +145,6 @@ def real_witness_set(
             reals_full = real_filter(result.solutions, prob.full_system())
             reals = [r[:n] for r in reals_full]
         for x in reals:
-            if f.residual(x.astype(complex)) > REAL_RESIDUAL_TOL:
-                continue
             if any(np.abs(x - wp.point).max() < DEDUP_TOL for wp in kept):
                 continue
             kept.append(WitnessPoint(x, stage, f.residual(x.astype(complex))))

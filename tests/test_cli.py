@@ -210,6 +210,36 @@ def test_verify_perturbed_fails(circle_file, tmp_path, capsys):
     assert main(["verify", circle_file, str(sol)]) == EXIT_VERIFY_FAIL
 
 
+# solutions near (100, 0) leave residuals of about 1e-4, the round-off floor
+# of the sextic there, so only a magnitude-scaled test accepts them
+FAR_CIRCLE = """\
+vars: x y
+f:
+  ((x-100)^2 + y^2 - 1)*(x^4 + y^4 + 1)
+"""
+
+
+def test_verify_accepts_solve_output_on_far_circle(tmp_path, capsys):
+    p = tmp_path / "far.lph"
+    p.write_text(FAR_CIRCLE + "J: jacobian\nbeta: 0.874645 1.0351\n")
+    assert main(["solve", str(p), "--seed", "1", "--json"]) == EXIT_OK
+    sol = tmp_path / "sol.json"
+    sol.write_text(capsys.readouterr().out)
+    assert json.loads(sol.read_text())["solutions"]
+    assert main(["verify", str(p), str(sol)]) == EXIT_OK
+    assert "by residual <= 1e-06 * max(1, magnitude): PASS" in capsys.readouterr().out
+
+
+def test_verify_accepts_witness_output_on_far_circle(tmp_path, capsys):
+    p = tmp_path / "far.lph"
+    p.write_text(FAR_CIRCLE)
+    assert main(["witness", str(p), "--seed", "0", "--json"]) == EXIT_OK
+    sol = tmp_path / "points.json"
+    sol.write_text(capsys.readouterr().out)
+    assert json.loads(sol.read_text())["solutions"]
+    assert main(["verify", str(p), str(sol)]) == EXIT_OK
+
+
 def test_verify_with_solve_beta_override(circle_file, tmp_path, capsys):
     assert main(["solve", circle_file, "--seed", "1", "--json", "--beta", "1,0"]) == EXIT_OK
     out = capsys.readouterr().out

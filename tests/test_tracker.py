@@ -13,6 +13,7 @@ from lph.tracker import (
     TrackConfig,
     davidenko_rhs,
     newton_correct,
+    residual_within,
     track_path,
 )
 
@@ -231,3 +232,11 @@ def test_path_result_does_not_depend_on_earlier_paths():
 def test_config_validation():
     with pytest.raises(ValueError):
         TrackConfig(newton_tol=-1.0)
+
+
+def test_residual_within_scales_by_magnitude_above_one():
+    assert residual_within(1e-6, 1e-6, 0.5)
+    assert not residual_within(2e-6, 1e-6, 0.5)
+    # a far point's round-off floor: 2e-4 passes against magnitude 4e12
+    assert residual_within(2e-4, 1e-6, 4e12)
+    assert not residual_within(float("nan"), 1e-6, 4e12)

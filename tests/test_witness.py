@@ -121,6 +121,21 @@ def test_real_witness_set_points_on_variety():
         assert f.residual(wp.point.astype(complex)) < 1e-6
 
 
+# a unit circle centred at (100, 0), times a factor with no real zero; at the
+# circle the sextic's round-off floor is about 1e-4, far above 1e-6
+FAR_CIRCLE = "((x-100)^2 + y^2 - 1)*(x^4 + y^4 + 1)"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_real_witness_set_far_circle(seed):
+    f = PolySystem(2, [parse_poly(FAR_CIRCLE, XY)])
+    rws = real_witness_set(f, rng=np.random.default_rng(seed))
+    assert rws.points
+    for wp in rws.points:
+        x, y = wp.point
+        assert abs(np.hypot(x - 100.0, y) - 1.0) < 1e-6
+
+
 def test_real_witness_set_reproducible():
     a = real_witness_set(_circle(), rng=np.random.default_rng(7))
     b = real_witness_set(_circle(), rng=np.random.default_rng(7))
