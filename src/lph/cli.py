@@ -13,7 +13,8 @@ Input file grammar (blank lines and `#` comments ignored):
     beta: 1 0 0
 
 Exit codes: 0 success, 1 verification failure (a residual above
-VERIFY_TOL * max(1, magnitude)), 2 parse/usage error, 3 numerical failure.
+VERIFY_TOL * max(1, magnitude), or a Newton step that fails the endpoint
+rule's contraction test), 2 parse/usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,7 +31,14 @@ from typing import List, Optional
 import numpy as np
 
 from .linalg import InvalidBetaError, SingularMatrixError
-from .poly import MultiPoly, ParseError, PolySystem, jacobian_transpose, parse_poly
+from .poly import (
+    MultiPoly,
+    ParseError,
+    PolySystem,
+    jacobian_transpose,
+    parse_poly,
+    variable_index,
+)
 from .solver import (
     DegreeZeroJacobianError,
     LPHProblem,
@@ -39,7 +47,13 @@ from .solver import (
     root_bound,
 )
 from .start_systems import AllPathsFailedError, witness_points
-from .tracker import NoConvergenceError, SystemEvaluator, residual_within
+from .tracker import (
+    CONTRACTION_TOL,
+    NoConvergenceError,
+    SystemEvaluator,
+    contracted,
+    residual_within,
+)
 from .witness import real_witness_set, witness_bound
 
 EXIT_OK = 0
@@ -94,6 +108,7 @@ def read_system(path: str) -> SystemInput:
             variables = stripped[5:].split()
             if not variables:
                 raise InputFormatError(f"line {ln}: empty vars declaration")
+            variable_index(variables, ln)
             section = None
         elif lower.startswith("f:"):
             rest = stripped[2:].strip()
@@ -382,29 +397,43 @@ def cmd_verify(args) -> int:
 
     # records with lambda belong to the full critical system, the others to
     # the plain f block; each is judged by the solver's acceptance rule,
-    # against the magnitude of the system it belongs to
+    # against the system it belongs to: the residual test at its magnitude,
+    # and the contraction test of its least-squares Newton step (which also
+    # covers the non-square f block)
     f_eval = SystemEvaluator(inp.f)
     critical = None
     if any("lambda" in rec for rec in records):
         echo = doc.get("system")
         saved = echo.get("beta") if isinstance(echo, dict) else None
-        system = LPHProblem(inp.f, inp.J, _beta(args, inp, saved)).full_system()
-        critical = (system, SystemEvaluator(system))
-    judged = []  # (residual, magnitude, index) per record
+        critical = SystemEvaluator(LPHProblem(inp.f, inp.J, _beta(args, inp, saved)).full_system())
+    judged = []  # (residual, magnitude, step, index, passed) per record
     for i, rec in enumerate(records):
+        ev = critical if "lambda" in rec else f_eval
         try:
             z = _coordinates(rec["x"])
+            if len(z) != f_eval.n_vars:
+                raise ValueError(f"x has {len(z)} coordinates, not {f_eval.n_vars}")
             if "lambda" in rec:
                 z = np.concatenate([z, _coordinates(rec["lambda"])])
+                if len(z) != ev.n_vars:
+                    raise ValueError(f"lambda has {len(z) - f_eval.n_vars} coordinates, "
+                                     f"not {ev.n_vars - f_eval.n_vars}")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"solution record {i} is malformed: {exc!r}")
-        system, ev = critical if "lambda" in rec else (inp.f, f_eval)
-        judged.append((system.residual(z), float(ev.magnitude(z).max(initial=0.0)), i))
-    failed = [(r, m, i) for r, m, i in judged if not residual_within(r, VERIFY_TOL, m)]
-    r, m, i = failed[0] if failed else max(judged)
-    verdict = f"FAIL, {len(failed)} above it, the first" if failed else "PASS, largest residual"
-    print(f"verified {len(records)} solutions by residual <= {VERIFY_TOL:g} * max(1, magnitude): "
-          f"{verdict} at index {i} (residual {r:.3e}, magnitude {m:.3e})")
+        values, J = ev.values(z), ev.jacobian(z)
+        # LAPACK rejects a non-finite matrix; such a point's step is NaN
+        step = (np.linalg.lstsq(J, values, rcond=None)[0] if np.isfinite(J).all()
+                else np.full(len(z), np.nan))
+        r, m = float(np.abs(values).max()), float(ev.magnitude(z).max(initial=0.0))
+        ok = residual_within(r, VERIFY_TOL, m) and contracted(step, z)
+        judged.append((r, m, float(np.abs(step).max()), i, ok))
+    failed = [rec for rec in judged if not rec[4]]
+    r, m, s, i, _ = failed[0] if failed else max(judged)
+    verdict = (f"FAIL, {len(failed)} failing, the first" if failed
+               else "PASS, largest residual")
+    print(f"verified {len(records)} solutions by residual <= {VERIFY_TOL:g} * max(1, magnitude) "
+          f"and Newton step <= {CONTRACTION_TOL:g} * (1 + |z|): {verdict} at index {i} "
+          f"(residual {r:.3e}, magnitude {m:.3e}, step {s:.3e})")
     return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 

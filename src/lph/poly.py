@@ -8,7 +8,7 @@ coefficients dropped so that equality tests are deterministic.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -23,8 +23,11 @@ MAX_PRODUCT_PAIRS = 20000
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, col {col}: {message}")
+    """A parse failure at a line and, where it has one, a column."""
+
+    def __init__(self, message: str, line: int, col: Optional[int] = None):
+        where = f"line {line}" if col is None else f"line {line}, col {col}"
+        super().__init__(f"{where}: {message}")
         self.line = line
         self.col = col
 
@@ -157,16 +160,12 @@ class MultiPoly:
             terms.append((tuple(new), coeff * e))
         return MultiPoly(self.n_vars, terms)
 
-    def lift(self, n_vars: int, offset: int = 0) -> "MultiPoly":
-        """Embed into a larger variable space, placing old variables at `offset`."""
-        if offset + self.n_vars > n_vars:
+    def lift(self, n_vars: int) -> "MultiPoly":
+        """Embed into a larger variable space as its first variables."""
+        if self.n_vars > n_vars:
             raise ValueError("lift target too small")
-        terms = []
-        for exps, coeff in self._pairs():
-            new = [0] * n_vars
-            new[offset : offset + self.n_vars] = exps
-            terms.append((tuple(new), coeff))
-        return MultiPoly(n_vars, terms)
+        pad = (0,) * (n_vars - self.n_vars)
+        return MultiPoly(n_vars, [(exps + pad, coeff) for exps, coeff in self._pairs()])
 
 
 class PolySystem:
@@ -200,9 +199,11 @@ def jacobian_transpose(f: PolySystem) -> list:
 
 # -- parsing ---------------------------------------------------------------
 
+# a variable name of the grammar
+_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<ident>{_IDENTIFIER_RE.pattern})"
     r"|(?P<op>[-+*^()])"
     r")"
 )
@@ -329,8 +330,21 @@ class _PolyParser:
         return base
 
 
+def variable_index(variable_order: Sequence[str], line_no: int = 1) -> Dict[str, int]:
+    """Each variable name's coordinate.  The names must be distinct
+    identifiers of the grammar, else a ParseError at line_no."""
+    index: Dict[str, int] = {}
+    for i, name in enumerate(variable_order):
+        if not _IDENTIFIER_RE.fullmatch(name):
+            raise ParseError(f"variable {name!r} is not an identifier", line_no)
+        if name in index:
+            raise ParseError(f"variable {name!r} declared twice", line_no)
+        index[name] = i
+    return index
+
+
 def parse_poly(text: str, variable_order: Sequence[str], line_no: int = 1) -> MultiPoly:
-    var_index = {name: i for i, name in enumerate(variable_order)}
+    var_index = variable_index(variable_order, line_no)
     tokens = _tokenize(text, line_no)
     if not tokens:
         raise ParseError("empty polynomial", line_no, 1)

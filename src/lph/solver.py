@@ -20,7 +20,6 @@ import numpy as np
 from .linalg import InvalidBetaError, SingularMatrixError, beta_normalizer, lu_solve
 from .poly import MultiPoly, PolySystem
 from .start_systems import (
-    RESIDUAL_TOL,
     START_REJECTED,
     dedup_points,
     refine_on,
@@ -39,6 +38,11 @@ from .tracker import (  # noqa: F401
 )
 
 logger = logging.getLogger(__name__)
+
+# The d = 0 route's consistency test of the linear system J * lambda = beta:
+# its least-squares residual must be at most this.  It judges a linear
+# system, not an endpoint, and is kept apart from the tracker's ENDPOINT_TOL.
+LINEAR_TOL = 1e-8
 
 
 class DegreeZeroJacobianError(ValueError):
@@ -145,9 +149,6 @@ class LinearProductG:
     """Start system G = {f, g_1, ..., g_n} with g_i = l_i1 ... l_id * h_i
     for i < n and g_n the last row of the normalized linear part."""
 
-    n: int
-    k: int
-    d: int
     l_x: List[List[MultiPoly]]        # (n-1) x d affine-linear factors, n x-vars
     h_coeffs: np.ndarray              # (n-1) x k lambda-factor coefficients
     g_last_row: List[MultiPoly]       # J_prime[n-1], n x-vars
@@ -188,34 +189,19 @@ def build_G(np_: NormalizedProblem, target: PolySystem,
             h = h + h_coeffs[i, j] * MultiPoly.variable(n + j, N)
         polys.append(g * h)
     polys.append(target.polys[-1])
-    return LinearProductG(n, k, d, l_x, h_coeffs, np_.J_prime[n - 1], PolySystem(N, polys))
+    return LinearProductG(l_x, h_coeffs, np_.J_prime[n - 1], PolySystem(N, polys))
 
 
-@dataclass(frozen=True)
-class ChoiceIndex:
-    """One start-root class: which of the first n-1 product rows contribute
-    an x-factor (alpha_i = 1) and which factor is picked in each."""
-
-    alpha: tuple
-    factor_pick: tuple  # one 0-based pick per alpha_i = 1 row, in row order
-
-    def picked_rows(self):
-        return [i for i, a in enumerate(self.alpha) if a == 1]
-
-
-def enumerate_choices(n: int, k: int, d: int) -> Iterator[ChoiceIndex]:
-    """All C(n-1, n-k) * d^(n-k) choices, lexicographic on alpha then picks."""
+def enumerate_choices(n: int, k: int, d: int) -> Iterator[tuple]:
+    """All C(n-1, n-k) * d^(n-k) choices (rows, picks): the n-k product
+    rows that contribute an x-factor, in increasing order, and the 0-based
+    factor picked in each.  Rows run in reverse lexicographic order (the
+    order of their sorted 0/1 indicator vectors), then picks."""
     if not (n > k >= 1) or d < 1:
         raise ValueError("require n > k >= 1 and d >= 1")
-    alphas = sorted(
-        {
-            tuple(1 if i in ones else 0 for i in range(n - 1))
-            for ones in itertools.combinations(range(n - 1), n - k)
-        }
-    )
-    for alpha in alphas:
+    for rows in reversed(list(itertools.combinations(range(n - 1), n - k))):
         for picks in itertools.product(range(d), repeat=n - k):
-            yield ChoiceIndex(alpha, picks)
+            yield rows, picks
 
 
 def h1_track(
@@ -244,25 +230,19 @@ def h1_track(
     return out
 
 
-def backsolve_lambda(
-    x_star: np.ndarray, G: LinearProductG, choice: ChoiceIndex
-) -> np.ndarray:
-    """Unique lambda with (x_star, lambda) a root of G for this choice:
-    h_i(lambda) = 0 on the rows whose product vanished through lambda,
-    plus the inhomogeneous last row."""
-    k = G.k
-    rows = []
-    rhs = []
-    for i, a in enumerate(choice.alpha):
-        if a == 0:
-            rows.append(G.h_coeffs[i])
-            rhs.append(0.0)
-    rows.append(np.array([g.evaluate(x_star) for g in G.g_last_row], dtype=complex))
-    rhs.append(1.0)
-    A = np.array(rows, dtype=complex)
+def backsolve_lambda(x_star: np.ndarray, G: LinearProductG, rows) -> np.ndarray:
+    """Unique lambda with (x_star, lambda) a root of G when the product rows
+    ``rows`` vanish through their x-factor: h_i(lambda) = 0 on every other
+    product row, plus the inhomogeneous last row."""
+    k = len(G.g_last_row)
+    A = [G.h_coeffs[i] for i in range(len(G.h_coeffs)) if i not in rows]
+    A.append(np.array([g.evaluate(x_star) for g in G.g_last_row], dtype=complex))
+    A = np.array(A, dtype=complex)
     if A.shape != (k, k):
         raise ValueError("lambda system is not square")
-    return lu_solve(A, np.array(rhs, dtype=complex))
+    rhs = np.zeros(k, dtype=complex)
+    rhs[-1] = 1.0
+    return lu_solve(A, rhs)
 
 
 @dataclass
@@ -287,7 +267,7 @@ def _solve_constant_J(p: LPHProblem, rng) -> LPHResult:
     )
     lam, res_lsq, *_ = np.linalg.lstsq(Jc, p.beta, rcond=None)
     solutions = []
-    if np.abs(Jc @ lam - p.beta).max() <= RESIDUAL_TOL:
+    if np.abs(Jc @ lam - p.beta).max() <= LINEAR_TOL:
         for x in M:
             solutions.append(np.concatenate([x, lam]))
     return LPHResult(
@@ -305,7 +285,7 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
         return _solve_constant_J(p, rng)
 
     warnings: List[str] = []
-    M, sliced = witness_points(p.f, rng)
+    M, L = witness_points(p.f, rng)
     D = len(M)
     np_ = normalize(p)
     target = np_.normalized_full_system()
@@ -318,14 +298,12 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
         return LPHResult([], D, 0, root_bound(n, k, d, D), 0, 0, 0, witness_M=M)
 
     omega: List[np.ndarray] = []
-    for choice in enumerate_choices(n, k, d):
-        L_prime = [
-            G.l_x[row][pick] for row, pick in zip(choice.picked_rows(), choice.factor_pick)
-        ]
-        M_prime = h1_track(M, p.f, sliced.L, L_prime, gamma1, warnings)
+    for rows, picks in enumerate_choices(n, k, d):
+        L_prime = [G.l_x[row][pick] for row, pick in zip(rows, picks)]
+        M_prime = h1_track(M, p.f, L, L_prime, gamma1, warnings)
         for x_star in M_prime:
             try:
-                lam = backsolve_lambda(x_star, G, choice)
+                lam = backsolve_lambda(x_star, G, rows)
             except SingularMatrixError:
                 msg = "singular lambda back-solve; point dropped"
                 logger.warning(msg)

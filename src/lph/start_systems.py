@@ -10,9 +10,9 @@ point changes system (H2 against the original system, real re-convergence).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -22,19 +22,17 @@ from .linalg import SingularMatrixError, lu_factor  # noqa: F401
 from .poly import MultiPoly, PolySystem
 from .tracker import (
     CONVERGED,
+    ENDPOINT_TOL,
     FAILED,
-    PATH_NEWTON,
     HomotopyPair,
     NoConvergenceError,
     PathResult,
-    TrackConfig,
     newton_correct,
     refine_endpoint,
     track_path,
 )
 
 DEDUP_TOL = 1e-6
-RESIDUAL_TOL = 1e-8
 START_REJECTED = "start-rejected"
 
 
@@ -50,32 +48,7 @@ def unit_complex(rng: np.random.Generator) -> complex:
     return cmath.exp(2j * math.pi * rng.random())
 
 
-@dataclass
-class SlicedSystem:
-    f: PolySystem
-    L: List[MultiPoly]
-
-    @property
-    def square(self) -> PolySystem:
-        return PolySystem(self.f.n_vars, list(self.f.polys) + list(self.L))
-
-
-@dataclass
-class TotalDegreeStart:
-    degrees: List[int]
-    offsets: List[complex]
-
-    def system(self) -> PolySystem:
-        n = len(self.degrees)
-        polys = []
-        for i, (d, r) in enumerate(zip(self.degrees, self.offsets)):
-            exps = [0] * n
-            exps[i] = d
-            polys.append(MultiPoly(n, [(tuple(exps), 1.0), ((0,) * n, -r)]))
-        return PolySystem(n, polys)
-
-
-def random_slice(f: PolySystem, rng: np.random.Generator) -> SlicedSystem:
+def random_slice(f: PolySystem, rng: np.random.Generator) -> List[MultiPoly]:
     """n-k affine-linear polynomials with unit-modulus coefficients."""
     n = f.n_vars
     k = len(f)
@@ -86,25 +59,25 @@ def random_slice(f: PolySystem, rng: np.random.Generator) -> SlicedSystem:
         terms = [(tuple(int(i == j) for j in range(n)), unit_complex(rng)) for i in range(n)]
         terms.append(((0,) * n, 2.0 * (2.0 * rng.random() - 1.0)))
         L.append(MultiPoly(n, terms))
-    return SlicedSystem(f, L)
+    return L
 
 
-def total_degree_roots(ts: TotalDegreeStart) -> Iterator[np.ndarray]:
-    """All prod(d_i) roots of {z_i^d_i - r_i}, as scaled roots of unity."""
+def total_degree_start(degrees: List[int], offsets: List[complex]):
+    """The start system {z_i^d_i - r_i} and its prod(d_i) roots, scaled
+    roots of unity, the first coordinate varying fastest."""
+    n = len(degrees)
+    polys = []
     per_coord = []
-    for d, r in zip(ts.degrees, ts.offsets):
+    for i, (d, r) in enumerate(zip(degrees, offsets)):
+        exps = [0] * n
+        exps[i] = d
+        polys.append(MultiPoly(n, [(tuple(exps), 1.0), ((0,) * n, -r)]))
         mag = abs(r) ** (1.0 / d)
         arg = cmath.phase(r)
         per_coord.append([mag * cmath.exp(1j * (arg + 2 * math.pi * j) / d) for j in range(d)])
-    counts = [len(c) for c in per_coord]
-    total = math.prod(counts)
-    for flat in range(total):
-        root = []
-        rem = flat
-        for c in per_coord:
-            root.append(c[rem % len(c)])
-            rem //= len(c)
-        yield np.array(root, dtype=complex)
+    roots = [np.array(root[::-1], dtype=complex)
+             for root in itertools.product(*reversed(per_coord))]
+    return PolySystem(n, polys), roots
 
 
 def dedup_points(points):
@@ -117,10 +90,10 @@ def dedup_points(points):
 
 def refine_on(R: HomotopyPair, point: np.ndarray) -> Optional[np.ndarray]:
     """Newton-polish a point against the target of the pair R (a system
-    stacked on itself) under the tracker's endpoint-acceptance rule at
-    residual bound RESIDUAL_TOL; None if the point is rejected."""
-    cfg = TrackConfig(newton_tol=RESIDUAL_TOL, newton_max_iters=20)
-    refined = refine_endpoint(R, point, cfg, RESIDUAL_TOL)
+    stacked on itself) under the tracker's endpoint-acceptance rule, with
+    Newton run to ENDPOINT_TOL in at most 20 steps; None if the point is
+    rejected."""
+    refined = refine_endpoint(R, point, max_iters=20, tol=ENDPOINT_TOL)
     return None if refined is None else refined[0]
 
 
@@ -130,7 +103,7 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
     records = []
     for s in starts:
         try:
-            z0 = newton_correct(H, s, 0.0, PATH_NEWTON)
+            z0 = newton_correct(H, s, 0.0)
         except (SingularMatrixError, NoConvergenceError):
             records.append(PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED))
             continue
@@ -148,11 +121,10 @@ def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> Li
         if p.is_zero:
             raise ZeroPolynomialError("zero polynomial in square system")
         degrees.append(max(p.degree, 1))
-    ts = TotalDegreeStart(degrees, [unit_complex(rng) for _ in degrees])
-    gamma = unit_complex(rng)
-    H = HomotopyPair(ts.system(), F, gamma)
+    G, roots = total_degree_start(degrees, [unit_complex(rng) for _ in degrees])
+    H = HomotopyPair(G, F, unit_complex(rng))
     # the start roots pass the tracker's start test, so correction keeps them
-    records = track_stage(H, total_degree_roots(ts))
+    records = track_stage(H, roots)
     endpoints = [res.endpoint for res in records if res.status == CONVERGED]
     if not endpoints and records and all(res.status == FAILED for res in records):
         raise AllPathsFailedError("every path of the total-degree homotopy failed")
@@ -160,8 +132,8 @@ def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> Li
 
 
 def witness_points(f: PolySystem, rng: Optional[np.random.Generator] = None):
-    """Witness points of V(f) on a random slice, and the SlicedSystem they
-    solve; the witness degree D is their count."""
+    """Witness points of V(f) on a random slice, and the slice L: the points
+    solve {f, L}, and the witness degree D is their count."""
     rng = rng if rng is not None else np.random.default_rng(0)
-    sliced = random_slice(f, rng)
-    return solve_square(sliced.square, rng), sliced
+    L = random_slice(f, rng)
+    return solve_square(PolySystem(f.n_vars, list(f.polys) + L), rng), L

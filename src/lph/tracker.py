@@ -138,22 +138,16 @@ T_TAIL = 1.0 - 1e-5 * T_ENDGAME
 MAX_STEPS = 10000
 
 
-@dataclass(frozen=True)
-class TrackConfig:
-    """Newton's residual tolerance and iteration budget."""
-
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 10
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-
-
-# Newton of a path: the full budget (start, endgame, endpoint), and the
-# tight budget of a corrector step (see track_path)
-PATH_NEWTON = TrackConfig()
-STEP_NEWTON = TrackConfig(newton_max_iters=2)
+# Newton's residual tolerance and iteration budget of a path (start,
+# endgame, endpoint), and the tight budget of a corrector step (see
+# track_path); an endpoint is accepted at ENDPOINT_TOL
+NEWTON_TOL = 1e-10
+NEWTON_ITERS = 10
+STEP_ITERS = 2
+ENDPOINT_TOL = 100 * NEWTON_TOL
+# an accepted endpoint's next Newton step is at most this, relative to
+# 1 + |z|_inf (see contracted)
+CONTRACTION_TOL = 1e-6
 
 
 def residual_within(residual: float, tol: float, magnitude: float) -> bool:
@@ -231,54 +225,59 @@ def _cos_angle(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.real(np.vdot(u, v)) / (nu * nv))
 
 
-def newton_correct(H: HomotopyPair, z, t: float, cfg: TrackConfig,
-                   polish: int = 0) -> np.ndarray:
+def newton_correct(H: HomotopyPair, z, t: float, max_iters: int = NEWTON_ITERS,
+                   tol: float = NEWTON_TOL) -> np.ndarray:
     """Full Newton steps on H(., t) until the inf-norm residual passes
-    ``residual_within`` at cfg.newton_tol and H's evaluation magnitude at
-    the point.  Optional extra polish steps push the residual toward the
-    round-off floor.  Raises on singular Jacobian or non-convergence (the
-    residual still fails after cfg.newton_max_iters steps)."""
+    ``residual_within`` at tol and H's evaluation magnitude at the point.
+    Raises on singular Jacobian or non-convergence (the residual still fails
+    after max_iters steps)."""
     z = np.asarray(z, dtype=complex).copy()
-    for i in range(cfg.newton_max_iters + 1):
+    for i in range(max_iters + 1):
         r = H.eval_h(z, t)
-        if residual_within(np.abs(r).max(), cfg.newton_tol, H.scale(z, t)):
-            break
-        if i == cfg.newton_max_iters:
-            raise NoConvergenceError(f"Newton did not reach {cfg.newton_tol} at t={t}")
+        if residual_within(np.abs(r).max(), tol, H.scale(z, t)):
+            return z
+        if i == max_iters:
+            raise NoConvergenceError(f"Newton did not reach {tol} at t={t}")
         z = z - lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), r)
-    for _ in range(polish):
-        r = H.eval_h(z, t)
-        try:
-            z_next = z - lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), r)
-        except SingularMatrixError:
-            break
-        if np.abs(H.eval_h(z_next, t)).max() >= np.abs(r).max():
-            break
-        z = z_next
-    return z
 
 
-def refine_endpoint(H: HomotopyPair, z, cfg: TrackConfig, tol: float):
-    """The endpoint-acceptance rule: Newton at t = 1 with two polish steps,
-    then the target residual must pass ``residual_within`` at tol and one
-    more Newton step must have contracted to round-off level.  Returns
-    (point, residual), or None when the point is rejected."""
+def contracted(step: np.ndarray, z: np.ndarray) -> bool:
+    """The endpoint rule's contraction test: a Newton step from z is at
+    round-off level, at most CONTRACTION_TOL * (1 + |z|_inf).  At a regular
+    root it is, while a truncated diverging path (or a point near a singular
+    root) keeps steps of order |z| even when the magnitude-scaled residual
+    test passes.  A NaN step fails."""
+    return float(np.abs(step).max()) <= CONTRACTION_TOL * (1.0 + float(np.abs(z).max()))
+
+
+def refine_endpoint(H: HomotopyPair, z, max_iters: int = NEWTON_ITERS,
+                    tol: float = NEWTON_TOL):
+    """The endpoint-acceptance rule: Newton at t = 1, then two polish steps
+    that push the residual toward the round-off floor; the target residual
+    must pass ``residual_within`` at ENDPOINT_TOL and one more Newton step
+    must pass ``contracted``.  Returns (point, residual), or None when the
+    point is rejected."""
     try:
-        z1 = newton_correct(H, z, 1.0, cfg, polish=2)
+        z1 = newton_correct(H, z, 1.0, max_iters=max_iters, tol=tol)
     except (SingularMatrixError, NoConvergenceError):
         return None
+    for _ in range(2):
+        r = H.eval_h(z1, 1.0)
+        try:
+            z_next = z1 - lu_solve_factored(lu_factor(H.eval_dh_dz(z1, 1.0), z1), r)
+        except SingularMatrixError:
+            break
+        if np.abs(H.eval_h(z_next, 1.0)).max() >= np.abs(r).max():
+            break
+        z1 = z_next
     residual = float(np.abs(H.target_values(z1)).max())
-    if not residual_within(residual, tol, H.target_magnitude(z1)):
+    if not residual_within(residual, ENDPOINT_TOL, H.target_magnitude(z1)):
         return None
-    # contraction check: at a regular root the Newton step is at round-off
-    # level, while a truncated diverging path (or a point near a singular
-    # root) keeps steps of order |z| even when the magnitude-scaled residual
-    # test passes
     try:
         step = lu_solve_factored(lu_factor(H.eval_dh_dz(z1, 1.0), z1), H.eval_h(z1, 1.0))
     except SingularMatrixError:
         return None
-    if float(np.abs(step).max()) > 1e-6 * (1.0 + float(np.abs(z1).max())):
+    if not contracted(step, z1):
         return None
     return z1, residual
 
@@ -287,8 +286,7 @@ def track_path(H: HomotopyPair, z0) -> PathResult:
     z = np.asarray(z0, dtype=complex).copy()
     if z.shape != (H.n_vars,):
         raise InvalidStartError("start point has wrong dimension")
-    if not residual_within(np.abs(H.eval_h(z, 0.0)).max(), PATH_NEWTON.newton_tol,
-                           H.scale(z, 0.0)):
+    if not residual_within(np.abs(H.eval_h(z, 0.0)).max(), NEWTON_TOL, H.scale(z, 0.0)):
         raise InvalidStartError("start point does not satisfy the start system")
 
     t = 0.0
@@ -321,16 +319,14 @@ def track_path(H: HomotopyPair, z0) -> PathResult:
             if dz is None:
                 dz = davidenko_rhs(H, z, t)
             z_pred = z + h * dz
-            z_new = newton_correct(H, z_pred, t + h, STEP_NEWTON if tight else PATH_NEWTON)
+            z_new = newton_correct(H, z_pred, t + h, STEP_ITERS if tight else NEWTON_ITERS)
             if tight:
                 # corrector success also requires the correction to stay
                 # small against the predicted move; a large pull-back means
                 # the iteration latched onto a different path
                 move = float(np.abs(z_pred - z).max())
                 corr = float(np.abs(z_new - z_pred).max())
-                ok = corr <= max(
-                    0.5 * move, 10 * PATH_NEWTON.newton_tol * (1.0 + float(np.abs(z).max()))
-                )
+                ok = corr <= max(0.5 * move, 10 * NEWTON_TOL * (1.0 + float(np.abs(z).max())))
             else:
                 ok = True
             if ok and h > 10 * MIN_STEP:
@@ -365,7 +361,7 @@ def track_path(H: HomotopyPair, z0) -> PathResult:
                 status = DIVERGENT if growing else FAILED
                 return PathResult(status, None, t, float("inf"), steps_taken, "min-step")
 
-    refined = refine_endpoint(H, z, PATH_NEWTON, 100 * PATH_NEWTON.newton_tol)
+    refined = refine_endpoint(H, z)
     steps_taken += 1
     if refined is None:
         status = DIVERGENT if float(np.abs(z).max()) > DIVERGENCE_NORM else FAILED

@@ -123,11 +123,9 @@ def real_witness_set(
     if beta is None:
         beta = objective()
     n_stages = n - k0
-    if c_values is None:
-        c_values = [float(rng.uniform(-5, 5)) for _ in range(n_stages)]
-    c_values = [float(c) for c in list(c_values)]
-    if len(c_values) < n_stages:
-        c_values = c_values + [float(rng.uniform(-5, 5)) for _ in range(n_stages - len(c_values))]
+    # the stages without a given c draw one
+    c_values = [] if c_values is None else [float(c) for c in c_values]
+    c_values += [float(rng.uniform(-5, 5)) for _ in range(n_stages - len(c_values))]
     betas = [np.asarray(beta, dtype=float)] + [objective() for _ in range(1, n_stages)]
 
     kept: List[WitnessPoint] = []

@@ -14,7 +14,6 @@ from lph.start_systems import solve_square
 from lph.tracker import (
     CONVERGED,
     HomotopyPair,
-    TrackConfig,
     davidenko_rhs,
     newton_correct,
 )
@@ -208,13 +207,12 @@ def test_criterion_7_numerical_hygiene(monkeypatch):
     start = parse("x^2 - 1\ny^2 - 1", XY)
     target = parse("x^2 - 3\ny^2 + x - 2", XY)
     H = HomotopyPair(start, target, 0.8 + 0.6j)
-    cfg = TrackConfig()
-    z = newton_correct(H, np.array([1.0, 1.0], dtype=complex), 0.0, cfg)
+    z = newton_correct(H, np.array([1.0, 1.0], dtype=complex), 0.0)
     tang_ok = True
     hh = 1e-5
     for t in (0.2, 0.5, 0.8):
-        z = newton_correct(H, z, t, cfg)
-        z_h = newton_correct(H, z + hh * davidenko_rhs(H, z, t), t + hh, cfg)
+        z = newton_correct(H, z, t)
+        z_h = newton_correct(H, z + hh * davidenko_rhs(H, z, t), t + hh)
         fd = (z_h - z) / hh
         if np.abs(fd - davidenko_rhs(H, z, t)).max() >= 1e-3:
             tang_ok = False

@@ -74,6 +74,16 @@ def test_read_system_errors(tmp_path):
         read_system(str(p))
 
 
+@pytest.mark.parametrize("names", ["x x", "x 2", "x 2y"],
+                         ids=["repeated", "number", "not-identifier"])
+def test_vars_must_be_distinct_identifiers_exit_2(tmp_path, capsys, names):
+    p = tmp_path / "vars.lph"
+    p.write_text(f"vars: {names}\nf:\n  x^2 - 1\n")
+    assert main(["witness", str(p), "--json"]) == EXIT_PARSE
+    out = capsys.readouterr()
+    assert out.out == "" and "error: line 1: variable " in out.err
+
+
 def test_to_json_fixed_formatting():
     assert to_json({"a": 0.5, "b": [1, "s"]}) == '{"a":0.5,"b":[1,"s"]}'
     assert to_json(1 / 3) == "0.33333333333333331"
@@ -227,7 +237,8 @@ def test_verify_accepts_solve_output_on_far_circle(tmp_path, capsys):
     sol.write_text(capsys.readouterr().out)
     assert json.loads(sol.read_text())["solutions"]
     assert main(["verify", str(p), str(sol)]) == EXIT_OK
-    assert "by residual <= 1e-06 * max(1, magnitude): PASS" in capsys.readouterr().out
+    assert ("by residual <= 1e-06 * max(1, magnitude) and Newton step <= 1e-06 * (1 + |z|): "
+            "PASS") in capsys.readouterr().out
 
 
 def test_verify_accepts_witness_output_on_far_circle(tmp_path, capsys):
@@ -238,6 +249,29 @@ def test_verify_accepts_witness_output_on_far_circle(tmp_path, capsys):
     sol.write_text(capsys.readouterr().out)
     assert json.loads(sol.read_text())["solutions"]
     assert main(["verify", str(p), str(sol)]) == EXIT_OK
+
+
+def test_verify_rejects_point_moved_off_far_circle(tmp_path, capsys):
+    # moved by 1e-2, the point's residual (about 1.6e6) still passes the
+    # residual test against the magnitude (about 3.8e12), but its Newton step
+    # (about 6.8e-3) fails the contraction test's bound of about 1e-4
+    p = tmp_path / "far.lph"
+    p.write_text(FAR_CIRCLE)
+    assert main(["witness", str(p), "--seed", "0", "--json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    doc["solutions"][0]["x"][0] += 1e-2
+    sol = tmp_path / "moved.json"
+    sol.write_text(json.dumps(doc))
+    assert main(["verify", str(p), str(sol)]) == EXIT_VERIFY_FAIL
+    assert "FAIL, 1 failing, the first at index 0" in capsys.readouterr().out
+
+
+def test_verify_overflowing_point_fails(circle_file, tmp_path, capsys):
+    # a point whose Jacobian overflows gets a NaN Newton step, which fails
+    sol = tmp_path / "huge.json"
+    sol.write_text(json.dumps({"solutions": [{"x": [1e200, 0.0]}]}))
+    assert main(["verify", circle_file, str(sol)]) == EXIT_VERIFY_FAIL
+    assert "step nan)" in capsys.readouterr().out
 
 
 def test_verify_with_solve_beta_override(circle_file, tmp_path, capsys):
@@ -276,7 +310,14 @@ def test_verify_malformed_echoed_beta_exit_2(tmp_path, capsys, echo):
 @pytest.mark.parametrize("doc", [
     '{"solutions": [{"y": [[1, 0]]}]}',   # a record without "x"
     '[{"x": [[1, 0], [0, 0]]}]',          # a top-level list
-], ids=["record-without-x", "top-level-list"])
+    # coordinates of the wrong length, which the evaluator does not check
+    '{"solutions": [{"x": [0.6, 0.8, 5]}]}',
+    '{"solutions": [{"x": [0.6]}]}',
+    '{"solutions": [{"x": [0.6, 0.8, 5], "lambda": [0.5]}]}',
+    '{"solutions": [{"x": [0.6], "lambda": [0.5]}]}',
+    '{"solutions": [{"x": [0.6], "lambda": [0.8, 0.5]}]}',
+], ids=["record-without-x", "top-level-list", "x-too-long", "x-too-short",
+        "x-too-long-with-lambda", "x-too-short-with-lambda", "lambda-too-long"])
 def test_verify_malformed_solutions_exit_2(circle_file, tmp_path, capsys, doc):
     sol = tmp_path / "bad.json"
     sol.write_text(doc)

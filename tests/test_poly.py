@@ -126,6 +126,16 @@ def test_parse_unknown_variable():
         parse_poly("x + w", XY)
 
 
+@pytest.mark.parametrize("names", [["x", "x"], ["x", "2"], ["x", "2y"]],
+                         ids=["repeated", "number", "not-identifier"])
+def test_variables_must_be_distinct_identifiers(names):
+    # a repeated name used to map to its last coordinate, leaving the first free
+    with pytest.raises(ParseError, match="line 3: variable "):
+        parse_poly("x^2 - 1", names, line_no=3)
+    with pytest.raises(ParseError):
+        parse("x^2 - 1", names)
+
+
 def test_power_degree_cap():
     p = parse_poly("(x + y + z)^3", XYZ)
     assert p.degree == 3 and len(p.coeffs) == 10

@@ -5,7 +5,6 @@ import lph.start_systems
 import lph.tracker
 from lph.poly import MultiPoly, parse, parse_poly, PolySystem, jacobian_transpose
 from lph.solver import (
-    ChoiceIndex,
     DegreeZeroJacobianError,
     LPHProblem,
     backsolve_lambda,
@@ -102,12 +101,12 @@ def _build_G(p, rng):
 def test_build_G_structure_smallest():
     p = _circle_problem()
     G = _build_G(p, np.random.default_rng(0))
-    assert G.n == 2 and G.k == 1 and G.d == 1
+    assert p.d == 1
     assert len(G.l_x) == 1 and len(G.l_x[0]) == 1
     assert len(G.system) == 3
     # product rows: degree d in x, degree 1 in lambda
     g1 = G.system.polys[1]
-    assert g1.exps[:, [0, 1]].sum(axis=1).max() == G.d
+    assert g1.exps[:, [0, 1]].sum(axis=1).max() == p.d
     assert g1.exps[:, 2].max() == 1
 
 
@@ -118,7 +117,7 @@ def test_build_G_degrees_n3():
     G = _build_G(p, np.random.default_rng(0))
     for i in (2, 3):  # g_1, g_2 rows of the assembled system
         g = G.system.polys[i]
-        assert g.exps[:, [0, 1, 2]].sum(axis=1).max() == G.d
+        assert g.exps[:, [0, 1, 2]].sum(axis=1).max() == p.d
         assert g.exps[:, [3, 4]].sum(axis=1).max() == 1
 
 
@@ -136,18 +135,26 @@ def test_enumerate_choices_counts():
 
 
 def test_enumerate_choices_alpha_weight():
-    for ch in enumerate_choices(4, 2, 3):
-        assert sum(ch.alpha) == 2
-        assert len(ch.factor_pick) == 2
-        assert all(0 <= pk < 3 for pk in ch.factor_pick)
+    for rows, picks in enumerate_choices(4, 2, 3):
+        assert len(rows) == 2 and list(rows) == sorted(set(rows))
+        assert all(0 <= i < 3 for i in rows)
+        assert len(picks) == 2
+        assert all(0 <= pk < 3 for pk in picks)
+
+
+def test_enumerate_choices_order():
+    # rows ordered as their 0/1 indicator vectors sort, then picks
+    choices = list(enumerate_choices(5, 3, 2))
+    alphas = [tuple(int(i in rows) for i in range(4)) for rows, _ in choices]
+    assert alphas[::4] == sorted(set(alphas))
+    assert [picks for _, picks in choices[:4]] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_backsolve_lambda_scalar_case():
     p = _circle_problem()
     G = _build_G(p, np.random.default_rng(3))
     x_star = np.array([0.3 + 0.1j, 0.9 - 0.2j])
-    choice = ChoiceIndex((1,), (0,))
-    lam = backsolve_lambda(x_star, G, choice)
+    lam = backsolve_lambda(x_star, G, (0,))
     g_val = sum(g.evaluate(x_star) * l for g, l in zip(G.g_last_row, lam))
     assert abs(g_val - 1.0) < 1e-10
 
@@ -157,13 +164,13 @@ def test_backsolve_lambda_plugs_back_into_G():
     p = LPHProblem(f, jacobian_transpose(f), np.array([1.0, -2.0, 0.5]))
     G = _build_G(p, np.random.default_rng(5))
     rng = np.random.default_rng(6)
-    for choice in enumerate_choices(3, 2, 2):
+    for rows, _ in enumerate_choices(3, 2, 2):
         x_star = rng.normal(size=3) + 1j * rng.normal(size=3)
-        lam = backsolve_lambda(x_star, G, choice)
+        lam = backsolve_lambda(x_star, G, rows)
         z = np.concatenate([x_star, lam])
-        # rows with alpha_i = 0 vanish through the lambda factor; g_n = 0
-        for i, a in enumerate(choice.alpha):
-            if a == 0:
+        # the other product rows vanish through the lambda factor; g_n = 0
+        for i in range(2):
+            if i not in rows:
                 assert abs(G.system.polys[2 + i].evaluate(z)) < 1e-8 * (
                     1 + np.abs(z).max() ** 3
                 )
@@ -259,8 +266,8 @@ def test_h1_track_compiles_one_evaluator(monkeypatch):
     # the slice-move homotopy's only: its endpoints are used as tracked
     f = PolySystem(2, [parse_poly(SEXTIC, XY)])
     rng = np.random.default_rng(3)
-    M, sliced = witness_points(f, rng)
-    L_prime = random_slice(f, rng).L
+    M, L = witness_points(f, rng)
+    L_prime = random_slice(f, rng)
     compiled = []
     original = lph.tracker.SystemEvaluator.__init__
 
@@ -270,7 +277,7 @@ def test_h1_track_compiles_one_evaluator(monkeypatch):
 
     monkeypatch.setattr(lph.tracker.SystemEvaluator, "__init__", counting)
     warnings = []
-    moved = h1_track(M, f, sliced.L, L_prime, 0.6 + 0.8j, warnings)
+    moved = h1_track(M, f, L, L_prime, 0.6 + 0.8j, warnings)
     assert len(moved) == 6 and warnings == []
     assert all(f.residual(x) < 1e-8 for x in moved)
     assert len(compiled) == 1

@@ -7,20 +7,18 @@ import lph.start_systems
 import lph.tracker
 from lph.poly import parse, parse_poly, PolySystem
 from lph.start_systems import (
-    RESIDUAL_TOL,
     START_REJECTED,
-    TotalDegreeStart,
     ZeroPolynomialError,
     dedup_points,
     random_slice,
     refine_on,
     solve_square,
-    total_degree_roots,
+    total_degree_start,
     track_stage,
     unit_complex,
     witness_points,
 )
-from lph.tracker import CONVERGED, FAILED, HomotopyPair, TrackConfig, newton_correct
+from lph.tracker import CONVERGED, ENDPOINT_TOL, FAILED, HomotopyPair, residual_within
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -38,19 +36,19 @@ def test_random_slice_counts_and_degrees():
     circle = PolySystem(2, [parse_poly("x^2 + y^2 - 1", XY)])
     rng = np.random.default_rng(0)
     sl = random_slice(circle, rng)
-    assert len(sl.L) == 1
-    assert all(l.degree == 1 for l in sl.L)
+    assert len(sl) == 1
+    assert all(l.degree == 1 for l in sl)
 
     f3 = parse("x*y - 1\nz - x", XYZ)
     sl3 = random_slice(f3, np.random.default_rng(0))
-    assert len(sl3.L) == 1
+    assert len(sl3) == 1
 
 
 def test_random_slice_reseed_reproduces():
     circle = PolySystem(2, [parse_poly("x^2 + y^2 - 1", XY)])
     a = random_slice(circle, np.random.default_rng(123))
     b = random_slice(circle, np.random.default_rng(123))
-    assert a.L[0] == b.L[0]
+    assert a[0] == b[0]
 
 
 def test_random_slice_requires_underdetermined():
@@ -60,8 +58,8 @@ def test_random_slice_requires_underdetermined():
 
 
 def test_total_degree_roots_cube_roots_of_unity():
-    ts = TotalDegreeStart([3], [1.0 + 0j])
-    roots = sorted(total_degree_roots(ts), key=lambda z: cmath.phase(z[0]))
+    _, roots = total_degree_start([3], [1.0 + 0j])
+    roots = sorted(roots, key=lambda z: cmath.phase(z[0]))
     expected = sorted(
         [cmath.exp(2j * cmath.pi * k / 3) for k in range(3)], key=cmath.phase
     )
@@ -70,15 +68,13 @@ def test_total_degree_roots_cube_roots_of_unity():
 
 
 def test_total_degree_roots_count():
-    ts = TotalDegreeStart([2, 1], [1.0, 2.0])
-    assert len(list(total_degree_roots(ts))) == 2
+    _, roots = total_degree_start([2, 1], [1.0, 2.0])
+    assert len(roots) == 2
 
 
 def test_total_degree_roots_satisfy_start_system():
     rng = np.random.default_rng(4)
-    ts = TotalDegreeStart([2, 2], [unit_complex(rng), unit_complex(rng)])
-    system = ts.system()
-    roots = list(total_degree_roots(ts))
+    system, roots = total_degree_start([2, 2], [unit_complex(rng), unit_complex(rng)])
     assert len(roots) == 4
     for r in roots:
         assert system.residual(r) < 1e-12
@@ -94,15 +90,26 @@ def test_refine_on_rejects_non_roots():
     assert refine_on(HomotopyPair(f, f, 1.0), np.array([50.0 + 0j])) is None
 
 
-def test_refine_on_rejects_points_newton_has_not_contracted():
+def test_refine_on_rejects_points_newton_has_not_contracted(monkeypatch):
     # at the double root of (x - 1)^2 Newton only halves the error, so the
     # residual test passes while the next Newton step is far above round-off
     f = parse("x^2 - 2*x + 1", ["x"])
     H = HomotopyPair(f, f, 1.0)
-    cfg = TrackConfig(newton_tol=RESIDUAL_TOL, newton_max_iters=20)
-    polished = newton_correct(H, np.array([1.001 + 0j]), 1.0, cfg, polish=2)
-    assert polished[0] == pytest.approx(1.00003125, abs=1e-12)
+    tested = []
+    original = lph.tracker.contracted
+
+    def recording(step, z):
+        tested.append((z.copy(), original(step, z)))
+        return tested[-1][1]
+
+    monkeypatch.setattr(lph.tracker, "contracted", recording)
     assert refine_on(H, np.array([1.001 + 0j])) is None
+    # Newton and the two polish steps end at 1 + 1e-3 / 32
+    [(z, ok)] = tested
+    assert z[0] == pytest.approx(1.00003125, abs=1e-12)
+    residual = float(np.abs(H.target_values(z)).max())
+    assert residual_within(residual, ENDPOINT_TOL, H.target_magnitude(z))
+    assert not ok
 
 
 def test_refine_on_keeps_a_real_start_exactly_real():
@@ -175,7 +182,7 @@ def test_solve_square_sextic_slice_has_six_solutions():
     f = PolySystem(2, [parse_poly(SEXTIC, XY)])
     rng = np.random.default_rng(0)
     sl = random_slice(f, rng)
-    sols = solve_square(sl.square, rng=rng)
+    sols = solve_square(PolySystem(2, f.polys + sl), rng=rng)
     assert len(sols) == 6
 
 
@@ -195,7 +202,7 @@ def test_witness_points_circle():
     M, sl = witness_points(circle, np.random.default_rng(0))
     assert len(M) == 2
     assert all(circle.residual(m) < 1e-8 for m in M)
-    assert all(abs(l.evaluate(m)) < 1e-8 for m in M for l in sl.L)
+    assert all(abs(l.evaluate(m)) < 1e-8 for m in M for l in sl)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -10,7 +10,6 @@ from lph.tracker import (
     InvalidStartError,
     NoConvergenceError,
     SystemEvaluator,
-    TrackConfig,
     davidenko_rhs,
     newton_correct,
     residual_within,
@@ -95,30 +94,29 @@ def test_gamma_zero_rejected():
 
 def test_newton_scalar():
     H = _pair("x^2 - 4", "x^2 - 4", X)
-    z = newton_correct(H, np.array([2.1 + 0j]), 0.0, TrackConfig())
+    z = newton_correct(H, np.array([2.1 + 0j]), 0.0)
     assert abs(z[0] - 2.0) < 1e-10
 
 
 def test_newton_fixed_point_unchanged():
     H = _pair("x^2 - 4", "x^2 - 4", X)
     z0 = np.array([2.0 + 0j])
-    z = newton_correct(H, z0, 0.0, TrackConfig())
+    z = newton_correct(H, z0, 0.0)
     assert np.array_equal(z, z0)
 
 
 def test_newton_two_variable_intersection():
     H = _pair("x^2 + y^2 - 1\nx - y", "x^2 + y^2 - 1\nx - y", XY)
-    z = newton_correct(H, np.array([0.8, 0.6], dtype=complex), 1.0, TrackConfig())
+    z = newton_correct(H, np.array([0.8, 0.6], dtype=complex), 1.0)
     r = np.sqrt(2) / 2
     assert np.abs(z - np.array([r, r])).max() < 1e-10
 
 
 def test_newton_nonconvergence_raises():
     H = _pair("x^2 + 1", "x^2 + 1", X)
-    cfg = TrackConfig(newton_max_iters=3)
     with pytest.raises(NoConvergenceError):
         # real start on a rootless-over-R polynomial stays real: no progress
-        newton_correct(H, np.array([100.0 + 0j]), 0.0, cfg)
+        newton_correct(H, np.array([100.0 + 0j]), 0.0, max_iters=3)
 
 
 def test_davidenko_constant_velocity_path():
@@ -136,11 +134,10 @@ def test_davidenko_stationary_when_start_equals_target():
 
 def test_davidenko_matches_path_finite_difference():
     H = _pair("x^2 - 1", "x^2 - 3", X, gamma=1.0)
-    cfg = TrackConfig()
     z = np.array([1.0 + 0j])
     t, h = 0.4, 1e-5
-    z_t = newton_correct(H, z + 0.4 * davidenko_rhs(H, z, 0.0), t, cfg)
-    z_th = newton_correct(H, z_t, t + h, cfg)
+    z_t = newton_correct(H, z + 0.4 * davidenko_rhs(H, z, 0.0), t)
+    z_th = newton_correct(H, z_t, t + h)
     fd = (z_th - z_t) / h
     rhs = davidenko_rhs(H, z_t, t)
     assert np.abs(fd - rhs).max() < 1e-3
@@ -222,16 +219,11 @@ def test_path_result_does_not_depend_on_earlier_paths():
         track_path(H, z0)
         track_path(other, np.array([z0[0], 1], dtype=complex))
     # the last point the other pair sees is the next start point on H
-    newton_correct(other, starts[0], 0.0, TrackConfig())
+    newton_correct(other, starts[0], 0.0)
     again = track_path(H, starts[0])
     assert alone.status == again.status == CONVERGED
     assert alone.steps_taken == again.steps_taken
     assert alone.endpoint.tobytes() == again.endpoint.tobytes()
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TrackConfig(newton_tol=-1.0)
 
 
 def test_residual_within_scales_by_magnitude_above_one():
