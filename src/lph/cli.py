@@ -40,7 +40,6 @@ from .poly import (
     variable_index,
 )
 from .solver import (
-    DegreeZeroJacobianError,
     LPHProblem,
     jacobian_degree,
     lph_solve,
@@ -498,7 +497,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         NoConvergenceError,
         AllPathsFailedError,
         InvalidBetaError,
-        DegreeZeroJacobianError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

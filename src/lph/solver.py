@@ -20,9 +20,9 @@ import numpy as np
 from .linalg import InvalidBetaError, SingularMatrixError, beta_normalizer, lu_solve
 from .poly import MultiPoly, PolySystem
 from .start_systems import (
+    DEDUP_TOL,
     START_REJECTED,
     dedup_points,
-    refine_on,
     track_stage,
     unit_complex,
     witness_points,
@@ -311,23 +311,23 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
                 continue
             omega.append(np.concatenate([x_star, lam]))
 
+    # H2's endpoints are used as tracked: the normalized target differs from
+    # {f, J * lambda - beta} by the constant row map diag(I, A), under which
+    # Newton's iterates do not change
     H2 = HomotopyPair(G.system, target, gamma2)
-    # H2 tracks the normalized system, so its endpoints are refined against
-    # the original one, whose round-off floor can be lower
-    original = p.full_system()
-    R = HomotopyPair(original, original, 1.0)
     counts = {CONVERGED: 0, DIVERGENT: 0, FAILED: 0}
     endpoints = []
     for res in track_stage(H2, omega):
         if res.reason == START_REJECTED:
             warnings.append("H2 start correction failed")
-        refined = refine_on(R, res.endpoint) if res.status == CONVERGED else None
-        # a Converged endpoint that fails refinement counts as Failed
-        counts[FAILED if res.status == CONVERGED and refined is None else res.status] += 1
-        if refined is not None:
-            endpoints.append(refined)
+        counts[res.status] += 1
+        if res.status == CONVERGED:
+            endpoints.append(res.endpoint)
     solutions = dedup_points(endpoints)
-    solutions.sort(key=lambda z: tuple(v for c in z for v in (c.real, c.imag)))
+    # sorted on the DEDUP_TOL grid: parts equal up to round-off (the real
+    # parts of a conjugate pair) compare equal and the next part decides
+    solutions.sort(key=lambda z: tuple(round(v / DEDUP_TOL)
+                                       for c in z for v in (c.real, c.imag)))
     return LPHResult(
         solutions,
         D,

@@ -4,7 +4,7 @@ start system (scaled roots of unity) and the gamma-trick homotopy; and
 through: correct at t = 0, then track.  A start Newton cannot correct is
 not tracked; its record is a Failed ``PathResult``, reason ``start-rejected``.
 A Converged endpoint is used as tracked: ``refine_on`` runs only where a
-point changes system (H2 against the original system, real re-convergence).
+point changes, in ``real_filter``, which drops its imaginary part.
 """
 
 from __future__ import annotations

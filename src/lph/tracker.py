@@ -20,8 +20,8 @@ Each ``PathResult`` also names the exit that ended the path (its
   tangent points outward, else Failed);
 - ``max-steps``: the step budget ``MAX_STEPS`` ran out (Failed);
 - ``refine-rejected``: the path reached the tail but ``refine_endpoint``
-  rejected its endpoint, by the residual or the contraction test (Divergent
-  beyond ``DIVERGENCE_NORM``, else Failed).
+  rejected its endpoint, by the residual or the contraction test (Failed:
+  the tail point was accepted, so it lies within ``DIVERGENCE_NORM``).
 
 Every linear solve of the tracker factors its Jacobian with the point as
 the column scale (``lu_factor(J, z)``): a Jacobian that looks singular only
@@ -364,7 +364,6 @@ def track_path(H: HomotopyPair, z0) -> PathResult:
     refined = refine_endpoint(H, z)
     steps_taken += 1
     if refined is None:
-        status = DIVERGENT if float(np.abs(z).max()) > DIVERGENCE_NORM else FAILED
-        return PathResult(status, None, t, float("inf"), steps_taken, "refine-rejected")
+        return PathResult(FAILED, None, t, float("inf"), steps_taken, "refine-rejected")
     z1, residual = refined
     return PathResult(CONVERGED, z1, 1.0, residual, steps_taken, "converged")

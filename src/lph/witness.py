@@ -18,7 +18,7 @@ import numpy as np
 
 from .poly import MultiPoly, PolySystem, jacobian_transpose
 from .solver import LPHProblem, lph_solve
-from .start_systems import DEDUP_TOL, refine_on, solve_square
+from .start_systems import dedup_points, refine_on, solve_square
 from .tracker import HomotopyPair, SystemEvaluator
 
 logger = logging.getLogger(__name__)
@@ -142,9 +142,8 @@ def real_witness_set(
             full_rank_check(cur, result.witness_M)
             reals_full = real_filter(result.solutions, prob.full_system())
             reals = [r[:n] for r in reals_full]
-        for x in reals:
-            if any(np.abs(x - wp.point).max() < DEDUP_TOL for wp in kept):
-                continue
+        # the kept points are distinct, so dedup drops only repeated new ones
+        for x in dedup_points([wp.point for wp in kept] + reals)[len(kept):]:
             kept.append(WitnessPoint(x, stage, f.residual(x.astype(complex))))
         if k < n:
             cur = augment(cur, betas[stage], c_values[stage])

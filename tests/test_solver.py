@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
@@ -281,6 +284,60 @@ def test_h1_track_compiles_one_evaluator(monkeypatch):
     assert len(moved) == 6 and warnings == []
     assert all(f.residual(x) < 1e-8 for x in moved)
     assert len(compiled) == 1
+
+
+def test_lph_solve_assembles_no_original_system_and_refines_nothing(monkeypatch):
+    # H2's endpoints are used as tracked: lph_solve compiles the witness
+    # pair, one H1 pair per choice and H2, and never assembles
+    # {f, J * lambda - beta} or calls refine_on
+    rng = np.random.default_rng(9)
+    f = parse("x^2 + y*z - 2\nx + y^2 - z - 1", XYZ)
+    p = LPHProblem(f, jacobian_transpose(f), rng.normal(size=3) + 0j)
+    compiled = []
+    original = lph.tracker.SystemEvaluator.__init__
+
+    def counting(self, system):
+        compiled.append(system)
+        original(self, system)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"lph_solve called {name}")
+        return call
+
+    monkeypatch.setattr(lph.tracker.SystemEvaluator, "__init__", counting)
+    monkeypatch.setattr(LPHProblem, "full_system", forbidden("full_system"))
+    # every module that imported refine_on by name holds its own binding
+    refine_on = lph.start_systems.refine_on
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "lph" and getattr(module, "refine_on", None) is refine_on:
+            monkeypatch.setattr(module, "refine_on", forbidden("refine_on"))
+    res = lph_solve(p, rng=np.random.default_rng(10))
+    assert res.converged > 0
+    assert len(compiled) == 1 + len(list(enumerate_choices(p.n, p.k, p.d))) + 1
+
+
+@pytest.mark.parametrize("system_seed, solver_seed", [(1006, 26), (1001, 21)])
+def test_lph_solve_lists_a_conjugate_pair_negative_imaginary_part_first(
+        system_seed, solver_seed):
+    # criterion 4's random dense quadric systems: the members of a conjugate
+    # pair have real parts equal up to round-off, so the order of the pair
+    # must come from the imaginary parts, not from the last bit of the reals
+    rng = np.random.default_rng(system_seed)
+    n = int(rng.integers(2, 4))
+    k = int(rng.integers(1, n))
+    exps = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    f = PolySystem(n, [MultiPoly(n, [(e, rng.normal()) for e in exps]) for _ in range(k)])
+    p = LPHProblem(f, jacobian_transpose(f), rng.normal(size=n) + 0j)
+    sols = lph_solve(p, rng=np.random.default_rng(solver_seed)).solutions
+    pairs = 0
+    for i, s in enumerate(sols):
+        if abs(s[0].imag) < 1e-6:
+            continue
+        [j] = [j for j, t in enumerate(sols) if np.abs(t - s.conj()).max() < 1e-6]
+        assert (i < j) == (s[0].imag < 0)
+        pairs += 1
+    assert pairs >= 2
 
 
 def test_h2_counts_partition_omega():
