@@ -11,13 +11,26 @@ output line ``op LABEL ok=... SUMMARY DIGEST``.  A digest is the first 16 hex
 digits of the SHA-256 of a point's (or an output's points') bytes, ``-`` for
 a path without endpoint.
 
+A change that moves paths by design cannot keep the ledger byte-identical.
+``--json FILE`` also writes, per operation, its counts, its output points
+and the ``(status, reason, steps)`` of each path it tracked, and
+
+    python3 scripts/path_ledger.py --compare PARENT.json CHANGE.json
+
+passes (exit 0) when every operation keeps its counts, its points match
+two-way within ``POINT_TOL`` relative to ``max(1, |point|)``, and the
+change's paths are a sub-multiset of the parent's: it may track fewer paths,
+but each one it tracks ends as one of the parent's did.
+
 The workloads, their inputs, seeds and checks are those of
 ``perfbench/workloads.py``, which this script only imports.
 """
 
 import argparse
 import hashlib
+import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -41,29 +54,92 @@ def digest(points) -> str:
     return h.hexdigest()[:16]
 
 
+# the two-way point match of --compare: oracle_match's rule, relative
+POINT_TOL = 1e-8
+
+
+def counts(out) -> dict:
+    """The counts of a workload operation's output."""
+    if isinstance(out, lph.LPHResult):
+        return {"D": out.D, "omega": out.omega_count, "bound": out.bound,
+                "converged": out.converged, "divergent": out.divergent,
+                "failed": out.failed, "solutions": len(out.solutions)}
+    return {"points": len(out.points), "stages": [wp.stage for wp in out.points]}
+
+
+def points(out) -> list:
+    if isinstance(out, lph.LPHResult):
+        return out.solutions
+    return [wp.point for wp in out.points]
+
+
 def summary(out) -> str:
     """Counts and a digest of a workload operation's output."""
+    text = " ".join(f"{key}={value}" for key, value in counts(out).items())
     if isinstance(out, lph.LPHResult):
-        return (f"D={out.D} omega={out.omega_count} bound={out.bound} "
-                f"converged={out.converged} divergent={out.divergent} failed={out.failed} "
-                f"solutions={len(out.solutions)} warnings={out.warnings!r} "
-                f"{digest(out.solutions)}")
-    stages = [wp.stage for wp in out.points]
-    return (f"points={len(out.points)} stages={stages} "
-            f"{digest([wp.point for wp in out.points])}")
+        text += f" warnings={out.warnings!r}"
+    return f"{text} {digest(points(out))}"
+
+
+def _near(a, b) -> bool:
+    return float(np.abs(a - b).max()) < POINT_TOL * max(1.0, float(np.abs(b).max()))
+
+
+def compare(parent: dict, change: dict) -> list:
+    """The differences that fail --compare, one line each."""
+    problems = []
+    labels = [op["label"] for op in parent["ops"]]
+    if labels != [op["label"] for op in change["ops"]]:
+        return [f"operations differ: {labels} against "
+                f"{[op['label'] for op in change['ops']]}"]
+    for old, new in zip(parent["ops"], change["ops"]):
+        label = old["label"]
+        if old["counts"] != new["counts"]:
+            problems.append(f"{label}: counts {old['counts']} -> {new['counts']}")
+        a = [np.array([complex(*c) for c in z]) for z in old["points"]]
+        b = [np.array([complex(*c) for c in z]) for z in new["points"]]
+        lost = sum(not any(_near(x, y) for y in b) for x in a)
+        added = sum(not any(_near(y, x) for x in a) for y in b)
+        if lost or added:
+            problems.append(f"{label}: {lost} points lost, {added} points added")
+        extra = Counter(map(tuple, new["paths"])) - Counter(map(tuple, old["paths"]))
+        if extra:
+            problems.append(f"{label}: paths not in the parent {sorted(extra.elements())}")
+    return problems
+
+
+def _totals(ledger: dict) -> str:
+    paths = [p for op in ledger["ops"] for p in op["paths"]]
+    return f"{len(paths)} paths, {sum(p[2] for p in paths)} steps"
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="per-path ledger of one workload pass")
-    ap.add_argument("--workload", required=True, choices=WORKLOADS)
+    ap.add_argument("--workload", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, help="input seed (default: the benchmark's)")
+    ap.add_argument("--json", metavar="FILE",
+                    help="also write each operation's counts, points and paths to FILE")
+    ap.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                    help="compare two --json files instead of running a workload")
     args = ap.parse_args(argv)
+    if args.compare:
+        parent, change = (json.loads(Path(name).read_text()) for name in args.compare)
+        print(f"parent: {_totals(parent)}")
+        print(f"change: {_totals(change)}")
+        problems = compare(parent, change)
+        for line in problems:
+            print(f"FAIL {line}")
+        return 1 if problems else 0
+    if args.workload is None:
+        ap.error("--workload is required unless --compare is given")
     seed = DEFAULT_SEEDS[args.workload] if args.seed is None else args.seed
 
     original = lph.tracker.track_path
+    op_paths: list = []
 
     def ledger(H, z0):
         res = original(H, z0)
+        op_paths.append([res.status, res.reason, res.steps_taken])
         end = None if res.endpoint is None else [res.endpoint]
         print(f"path {res.status} {res.reason} {res.steps_taken} {res.t_reached!r} "
               f"{digest(end)}")
@@ -75,11 +151,20 @@ def main(argv=None) -> int:
             module.track_path = ledger
 
     ok = True
+    ops = []
     for op in operations(args.workload, seed, build_setup(args.workload, lph), lph):
+        op_paths.clear()
         out = op.call()
         outcome = op.check(out)
         ok = ok and outcome.ok
         print(f"op {op.label} ok={outcome.ok} {summary(out)}")
+        ops.append({"label": op.label, "ok": outcome.ok, "counts": counts(out),
+                    "points": [[[c.real, c.imag] for c in np.asarray(z, dtype=complex)]
+                               for z in points(out)],
+                    "paths": list(op_paths)})
+    if args.json:
+        Path(args.json).write_text(json.dumps(
+            {"workload": args.workload, "seed": seed, "ops": ops}) + "\n")
     return 0 if ok else 1
 
 

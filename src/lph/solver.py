@@ -5,6 +5,8 @@ start system G is built whose first n-1 extra equations are products of d
 affine-linear x-factors and one linear lambda-factor, start points are
 enumerated combinatorially from witness points of V(f), and two linear
 homotopies (x-space slice moves, then G -> F) carry them to the target.
+For a hypersurface (k = 1) each slice is a line, and the witness points on
+it come from ``line_points`` with no slice move tracked.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .start_systems import (
     DEDUP_TOL,
     START_REJECTED,
     dedup_points,
+    line_points,
     track_stage,
     unit_complex,
     witness_points,
@@ -212,10 +215,16 @@ def h1_track(
     gamma1: complex,
     warnings: list,
 ) -> List[np.ndarray]:
-    """Move witness points from the slice L to the slice L_prime."""
+    """The witness points of V(f) on the slice L_prime: by ``line_points``
+    when f has one nonlinear row (a hypersurface), else (or when it
+    returns None) by moving the points M from the slice L along the slice
+    homotopy."""
     n = f.n_vars
-    start = PolySystem(n, list(f.polys) + list(L))
     target = PolySystem(n, list(f.polys) + list(L_prime))
+    points = line_points(target)
+    if points is not None:
+        return points
+    start = PolySystem(n, list(f.polys) + list(L))
     H = HomotopyPair(start, target, gamma1)
     out = []
     for res in track_stage(H, M):

@@ -3,8 +3,13 @@ start system (scaled roots of unity) and the gamma-trick homotopy; and
 ``track_stage``, the one loop every homotopy stage runs its start points
 through: correct at t = 0, then track.  A start Newton cannot correct is
 not tracked; its record is a Failed ``PathResult``, reason ``start-rejected``.
-A Converged endpoint is used as tracked: ``refine_on`` runs only where a
-point changes, in ``real_filter``, which drops its imaginary part.
+
+A square system whose rows are affine but one is solved on the line the
+affine rows cut out, with no path tracked (``line_points``): the nonlinear
+row restricts to a univariate polynomial there.  That is every witness
+problem of a hypersurface.  A Converged endpoint is used as tracked:
+``refine_on`` runs only where a point is made or changes, on the roots of
+``line_points`` and in ``real_filter``, which drops an imaginary part.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from typing import List, Optional
 
 import numpy as np
 
-# lu_factor is unused here; perfbench/test_perfbench.py checks that the
-# tracer wraps this binding of it too
-from .linalg import SingularMatrixError, lu_factor  # noqa: F401
+from .linalg import SingularMatrixError, lu_factor, lu_solve_factored
 from .poly import MultiPoly, PolySystem
 from .tracker import (
     CONVERGED,
@@ -97,6 +100,54 @@ def refine_on(R: HomotopyPair, point: np.ndarray) -> Optional[np.ndarray]:
     return None if refined is None else refined[0]
 
 
+def line_points(F: PolySystem) -> Optional[List[np.ndarray]]:
+    """The roots of a square F whose rows are affine but one, computed on
+    the line x = p + s * v the affine rows cut out: the nonlinear row f of
+    degree d restricts to a univariate g(s), whose coefficients come from
+    its values at the d + 1 roots of unity and whose roots come from
+    ``np.roots``.  Each root is accepted only through ``refine_on``.  None
+    when F is not of that form, its affine rows are dependent, a root is
+    rejected or fewer than d distinct points remain."""
+    n = F.n_vars
+    nonlinear = [i for i, p in enumerate(F.polys) if p.degree > 1]
+    if len(nonlinear) != 1:
+        return None
+    i = nonlinear[0]
+    affine = [row for j, row in enumerate(F.polys) if j != i]
+    # an affine row's exponents are unit vectors and the constant's zero
+    A = np.array([row.exps.T @ row.coeffs for row in affine], dtype=complex).reshape(n - 1, n)
+    b = np.array([row.coeffs[~row.exps.any(axis=1)].sum() for row in affine], dtype=complex)
+    # the line: A x = -b and x_j = s, for the first unit row e_j that
+    # completes A
+    for unit in np.eye(n):
+        try:
+            factored = lu_factor(np.vstack([A, unit]))
+            break
+        except SingularMatrixError:
+            pass
+    else:
+        return None
+    v = lu_solve_factored(factored, np.eye(n)[-1])
+    p = lu_solve_factored(factored, np.append(-b, 0.0))
+    # unit direction, and the point of the line nearest the origin
+    v = v / np.linalg.norm(v)
+    p = p - np.vdot(v, p) * v
+    R = HomotopyPair(F, F, 1.0)
+    d = F.polys[i].degree
+    omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
+    values = np.array([R.target_values(p + w * v)[i] for w in omega])
+    # g(w^m) = sum_k c_k w^(m k): the inverse DFT gives c, lowest first
+    coeffs = np.conj(np.vander(omega, increasing=True)) @ values / (d + 1)
+    points = []
+    for s in np.roots(coeffs[::-1]):
+        x = refine_on(R, p + s * v)
+        if x is None:
+            return None
+        points.append(x)
+    points = dedup_points(points)
+    return points if len(points) == d else None
+
+
 def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
     """Run every start point of one homotopy stage: Newton-correct it at
     t = 0, then track it.  Returns one PathResult per start, in order."""
@@ -112,7 +163,10 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
 
 
 def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> List[np.ndarray]:
-    """All isolated solutions of a square system via a total-degree homotopy."""
+    """All isolated solutions of a square system: by ``line_points`` when
+    every row but one is affine, else (or when it returns None) by a
+    total-degree homotopy.  The homotopy's offsets and gamma are drawn
+    first either way, so rng ends in the same state on both routes."""
     rng = rng if rng is not None else np.random.default_rng(0)
     if len(F) != F.n_vars:
         raise ValueError("system must be square")
@@ -121,8 +175,13 @@ def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> Li
         if p.is_zero:
             raise ZeroPolynomialError("zero polynomial in square system")
         degrees.append(max(p.degree, 1))
-    G, roots = total_degree_start(degrees, [unit_complex(rng) for _ in degrees])
-    H = HomotopyPair(G, F, unit_complex(rng))
+    offsets = [unit_complex(rng) for _ in degrees]
+    gamma = unit_complex(rng)
+    points = line_points(F)
+    if points is not None:
+        return points
+    G, roots = total_degree_start(degrees, offsets)
+    H = HomotopyPair(G, F, gamma)
     # the start roots pass the tracker's start test, so correction keeps them
     records = track_stage(H, roots)
     endpoints = [res.endpoint for res in records if res.status == CONVERGED]
@@ -133,7 +192,9 @@ def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> Li
 
 def witness_points(f: PolySystem, rng: Optional[np.random.Generator] = None):
     """Witness points of V(f) on a random slice, and the slice L: the points
-    solve {f, L}, and the witness degree D is their count."""
+    solve {f, L}, and the witness degree D is their count.  For a
+    hypersurface {f, L} is a line, which ``solve_square`` solves with
+    ``line_points``."""
     rng = rng if rng is not None else np.random.default_rng(0)
     L = random_slice(f, rng)
     return solve_square(PolySystem(f.n_vars, list(f.polys) + L), rng), L

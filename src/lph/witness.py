@@ -1,10 +1,12 @@
 """Real witness sets: at least one real point per connected component of a
 real variety, via critical points of random linear objectives and recursive
-hyperplane augmentation.  Stage endpoints are used as tracked; only
-``real_filter``, which moves near-real points onto the real locus, refines
-them again, with ``refine_on``.  That refinement is the only acceptance test
-of a witness point: its system (the critical system, or the square system of
-the last stage) contains f's rows.
+hyperplane augmentation.  Stage endpoints are used as tracked, and a
+square stage whose rows are affine but one (the last stage of a
+hypersurface) is solved on a line by ``line_points``, whose roots pass
+``refine_on``.  Only ``real_filter``, which moves near-real points onto the
+real locus, refines a stage's points again, with ``refine_on``.  That
+refinement is the only acceptance test of a witness point: its system (the
+critical system, or the square system of the last stage) contains f's rows.
 """
 
 from __future__ import annotations

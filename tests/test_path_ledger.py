@@ -1,7 +1,12 @@
 """Smoke runs of scripts/path_ledger.py: criterion 1's real witness set at
-seed 7 tracks 72 paths (12 witness-slice, 30 H1 and 30 H2), and criterion
-4's 20 critical solves at seed 100 track 162, one ``LPHResult`` line each."""
+seed 7 tracks 30 paths, all of H2 (the sextic is a hypersurface, so its
+witness slice, its H1 slices and the square stage are solved on lines), and
+criterion 4's 20 critical solves at seed 100 track 94, one ``LPHResult``
+line each.  Its ``--compare`` mode fails on a moved point and on a path
+that ends differently."""
 
+import copy
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,12 +31,65 @@ def _ledger(workload, seed):
 
 def test_path_ledger_sextic_witness():
     paths, ops = _ledger("sextic_witness", 7)
-    assert len(paths) == 72
+    assert len(paths) == 30
     assert len(ops) == 1
 
 
 def test_path_ledger_random_batch():
     paths, ops = _ledger("random_batch", 100)
-    assert len(paths) == 162
+    assert len(paths) == 94
     assert len(ops) == 20
     assert all(" D=" in op and " solutions=" in op for op in ops)
+
+
+PARENT = {
+    "workload": "random_batch",
+    "seed": 0,
+    "ops": [{
+        "label": "lph_solve[0]",
+        "ok": True,
+        "counts": {"D": 2, "omega": 2, "bound": 2, "converged": 1, "divergent": 1,
+                   "failed": 0, "solutions": 1},
+        "points": [[[1.5, 0.0], [-2.0, 0.25]]],
+        "paths": [["Converged", "converged", 40], ["Divergent", "norm-exceeded", 90],
+                  ["Converged", "converged", 40]],
+    }],
+}
+
+
+def _compare(tmp_path, change):
+    parent_file, change_file = tmp_path / "parent.json", tmp_path / "change.json"
+    parent_file.write_text(json.dumps(PARENT))
+    change_file.write_text(json.dumps(change))
+    proc = subprocess.run(
+        [sys.executable, "scripts/path_ledger.py", "--compare", str(parent_file),
+         str(change_file)],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
+def test_path_ledger_compare_passes_fewer_paths_and_round_off(tmp_path):
+    change = copy.deepcopy(PARENT)
+    op = change["ops"][0]
+    op["points"][0][1][0] += 1e-13
+    op["paths"] = [["Converged", "converged", 40]]
+    code, out = _compare(tmp_path, change)
+    assert code == 0, out
+    assert out.splitlines() == ["parent: 3 paths, 170 steps", "change: 1 paths, 40 steps"]
+
+
+def test_path_ledger_compare_fails_on_a_point_moved_by_1e_6(tmp_path):
+    change = copy.deepcopy(PARENT)
+    change["ops"][0]["points"][0][0][0] += 1e-6
+    code, out = _compare(tmp_path, change)
+    assert code == 1
+    assert "lph_solve[0]: 1 points lost, 1 points added" in out
+
+
+def test_path_ledger_compare_fails_on_a_path_whose_status_changed(tmp_path):
+    change = copy.deepcopy(PARENT)
+    change["ops"][0]["paths"][1] = ["Failed", "norm-exceeded", 90]
+    code, out = _compare(tmp_path, change)
+    assert code == 1
+    assert "paths not in the parent" in out

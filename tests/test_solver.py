@@ -287,9 +287,11 @@ def test_h1_track_compiles_one_evaluator(monkeypatch):
 
 
 def test_lph_solve_assembles_no_original_system_and_refines_nothing(monkeypatch):
-    # H2's endpoints are used as tracked: lph_solve compiles the witness
-    # pair, one H1 pair per choice and H2, and never assembles
-    # {f, J * lambda - beta} or calls refine_on
+    # two quadrics in R^3 (k = 2): each witness and H1 system has two
+    # nonlinear rows, so every stage tracks paths and uses their endpoints
+    # as tracked.  lph_solve compiles the witness pair, one H1 pair per
+    # choice and H2, and never assembles {f, J * lambda - beta} or calls
+    # refine_on
     rng = np.random.default_rng(9)
     f = parse("x^2 + y*z - 2\nx + y^2 - z - 1", XYZ)
     p = LPHProblem(f, jacobian_transpose(f), rng.normal(size=3) + 0j)
@@ -315,6 +317,42 @@ def test_lph_solve_assembles_no_original_system_and_refines_nothing(monkeypatch)
     res = lph_solve(p, rng=np.random.default_rng(10))
     assert res.converged > 0
     assert len(compiled) == 1 + len(list(enumerate_choices(p.n, p.k, p.d))) + 1
+
+
+def test_lph_solve_on_a_hypersurface_refines_only_line_points(monkeypatch):
+    # criterion 2's sextic (k = 1): the witness stage and every H1 target
+    # are solved on a line, each compiling one refinement pair, and
+    # refine_on runs only on the roots line_points accepts
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    p = LPHProblem(f, jacobian_transpose(f), np.array([0.874645, 1.0351], dtype=complex))
+    compiled, refined, returned = [], [], []
+    original_init = lph.tracker.SystemEvaluator.__init__
+    original_refine = lph.start_systems.refine_on
+    original_line = lph.start_systems.line_points
+
+    def counting(self, system):
+        compiled.append(system)
+        original_init(self, system)
+
+    def refine_recording(R, point):
+        refined.append(original_refine(R, point))
+        return refined[-1]
+
+    def line_recording(F):
+        returned.append(original_line(F))
+        return returned[-1]
+
+    monkeypatch.setattr(lph.tracker.SystemEvaluator, "__init__", counting)
+    monkeypatch.setattr(lph.start_systems, "refine_on", refine_recording)
+    monkeypatch.setattr(lph.start_systems, "line_points", line_recording)
+    monkeypatch.setattr(lph.solver, "line_points", line_recording)
+    res = lph_solve(p, rng=np.random.default_rng(7))
+    choices = len(list(enumerate_choices(p.n, p.k, p.d)))
+    assert (res.converged, res.divergent, res.failed) == (6, 2, 22)
+    assert len(compiled) == 1 + choices + 1
+    assert len(returned) == 1 + choices and all(len(pts) == 6 for pts in returned)
+    assert len(refined) == 6 * (1 + choices)
+    assert all(x is y for x, y in zip(refined, [x for pts in returned for x in pts]))
 
 
 @pytest.mark.parametrize("system_seed, solver_seed", [(1006, 26), (1001, 21)])
@@ -383,6 +421,8 @@ def test_zero_jacobian_row_tracks_no_critical_path(monkeypatch):
     f = parse("(x^2 + y^2 - 1)*((x - 3)^2 + y^2 - 1)", XYZ)
     p = LPHProblem(f, jacobian_transpose(f), np.array([0.8, -1.1, 0.6], dtype=complex))
     res = lph_solve(p, rng=np.random.default_rng(0))
-    # only the witness stage runs: the quartic meets a random line 4 times
-    assert len(tracked) == res.D == len(res.witness_M) == 4
+    # only the witness stage runs, and on a line: the quartic meets a random
+    # line 4 times, and no path is tracked
+    assert tracked == []
+    assert res.D == len(res.witness_M) == 4
     assert (res.solutions, res.omega_count, res.warnings) == ([], 0, [])

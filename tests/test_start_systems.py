@@ -1,15 +1,17 @@
 import cmath
+import itertools
 
 import numpy as np
 import pytest
 
 import lph.start_systems
 import lph.tracker
-from lph.poly import parse, parse_poly, PolySystem
+from lph.poly import MultiPoly, parse, parse_poly, PolySystem
 from lph.start_systems import (
     START_REJECTED,
     ZeroPolynomialError,
     dedup_points,
+    line_points,
     random_slice,
     refine_on,
     solve_square,
@@ -216,3 +218,92 @@ def test_witness_points_sparse_pair_degree():
     f = parse("-62*x*y + 97*y - 4*x*y*z - 4\n80*x - 44*x*y + 71*y^2 - 17*y^3 + 2", XYZ)
     M, _ = witness_points(f, np.random.default_rng(0))
     assert len(M) == 7
+
+
+def _same_points(a, b, tol=1e-8):
+    """Equal counts, and every point of each list within tol (relative to
+    max(1, |point|)) of a point of the other."""
+    def near(x, y):
+        return np.abs(x - y).max() < tol * max(1.0, np.abs(y).max())
+
+    return (len(a) == len(b) and all(any(near(x, y) for y in b) for x in a)
+            and all(any(near(y, x) for x in a) for y in b))
+
+
+def _both_routes(monkeypatch, call, seed):
+    """call(rng) on the line route, then with line_points returning None,
+    each with rng seeded by seed: (line result, tracked result, paths the
+    line route tracked, whether both left their rng in the same state)."""
+    tracked = []
+    original = lph.start_systems.track_path
+
+    def recording(H, z0):
+        tracked.append(z0)
+        return original(H, z0)
+
+    with monkeypatch.context() as m:
+        m.setattr(lph.start_systems, "track_path", recording)
+        rng_line = np.random.default_rng(seed)
+        line = call(rng_line)
+    with monkeypatch.context() as m:
+        m.setattr(lph.start_systems, "line_points", lambda F: None)
+        rng_tracked = np.random.default_rng(seed)
+        by_paths = call(rng_tracked)
+    same_rng = rng_line.bit_generator.state == rng_tracked.bit_generator.state
+    return line, by_paths, len(tracked), same_rng
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_line_points_match_the_tracked_route_on_sextic_slices(monkeypatch, seed):
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    line, by_paths, n_tracked, same_rng = _both_routes(
+        monkeypatch, lambda rng: witness_points(f, rng)[0], seed)
+    assert n_tracked == 0 and len(line) == 6
+    assert _same_points(line, by_paths)
+    assert same_rng
+
+
+def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(monkeypatch):
+    # criterion 4's systems, drawn in its order (seed 1000 + i), and the
+    # witness stage of each k = 1 one at its solver seed 2000 + i
+    hypersurfaces = 0
+    for i in range(20):
+        rng = np.random.default_rng(1000 + i)
+        n = int(rng.integers(2, 4))
+        k = int(rng.integers(1, n))
+        exps = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+        f = PolySystem(n, [MultiPoly(n, [(e, rng.normal()) for e in exps])
+                           for _ in range(k)])
+        if k != 1:
+            continue
+        hypersurfaces += 1
+        line, by_paths, n_tracked, same_rng = _both_routes(
+            monkeypatch, lambda rng: witness_points(f, rng)[0], 2000 + i)
+        assert n_tracked == 0 and len(line) == 2, i
+        assert _same_points(line, by_paths), i
+        assert same_rng, i
+    assert hypersurfaces == 17
+
+
+def test_non_reduced_hypersurface_falls_back_to_tracking(monkeypatch):
+    # every root of (x^2 + y^2 - 1)^2 on a line is double: refine_on rejects
+    # them, and solve_square returns exactly the total-degree route's points
+    F = parse("(x^2 + y^2 - 1)^2\n0.3*x - 0.7*y + 0.2", XY)
+    assert line_points(F) is None
+    line, by_paths, n_tracked, same_rng = _both_routes(
+        monkeypatch, lambda rng: solve_square(F, rng), 0)
+    assert n_tracked == 4
+    assert len(line) == len(by_paths)
+    assert all(np.array_equal(x, y) for x, y in zip(line, by_paths))
+    assert same_rng
+
+
+def test_line_points_needs_one_nonlinear_row_and_independent_affine_rows():
+    assert line_points(parse("x^2 - 1\ny^2 - 2", XY)) is None
+    assert line_points(parse("x + y - 1\nx - y", XY)) is None
+    assert line_points(parse("x^2 + y^2 + z^2 - 4\nx + y - 1\n2*x + 2*y", XYZ)) is None
+    points = line_points(parse("x^2 + y^2 + z^2 - 4\nx + y - 1\nz - 1", XYZ))
+    assert len(points) == 2
+    assert all(abs(x[0] + x[1] - 1) < 1e-12 and abs(x[2] - 1) < 1e-12 for x in points)
+    assert _same_points(points, [np.array([(1 + r) / 2, (1 - r) / 2, 1.0])
+                                 for r in (np.sqrt(5), -np.sqrt(5))], tol=1e-12)
