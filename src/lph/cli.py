@@ -48,7 +48,6 @@ from .solver import (
 from .start_systems import AllPathsFailedError, witness_points
 from .tracker import (
     CONTRACTION_TOL,
-    NoConvergenceError,
     SystemEvaluator,
     contracted,
     residual_within,
@@ -494,7 +493,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_PARSE
     except (
         SingularMatrixError,
-        NoConvergenceError,
         AllPathsFailedError,
         InvalidBetaError,
     ) as exc:

@@ -98,8 +98,7 @@ def beta_normalizer(beta) -> np.ndarray:
     for idx, j in enumerate(cols):
         B[j, idx] = 1.0
     B[:, n - 1] = beta
-    factored = lu_factor(B)
-    A = np.column_stack(
-        [lu_solve_factored(factored, np.eye(n, dtype=complex)[:, j]) for j in range(n)]
-    )
-    return A
+    # inverse is that of B with its rows scaled by 1 / scales, so
+    # B^-1 = inverse @ diag(1 / scales)
+    scales, inverse, _ = lu_factor(B)
+    return inverse * (1.0 / scales)

@@ -23,7 +23,6 @@ from .linalg import InvalidBetaError, SingularMatrixError, beta_normalizer, lu_s
 from .poly import MultiPoly, PolySystem
 from .start_systems import (
     DEDUP_TOL,
-    START_REJECTED,
     dedup_points,
     line_points,
     track_stage,
@@ -41,11 +40,6 @@ from .tracker import (  # noqa: F401
 )
 
 logger = logging.getLogger(__name__)
-
-# The d = 0 route's consistency test of the linear system J * lambda = beta:
-# its least-squares residual must be at most this.  It judges a linear
-# system, not an endpoint, and is kept apart from the tracker's ENDPOINT_TOL.
-LINEAR_TOL = 1e-8
 
 
 class DegreeZeroJacobianError(ValueError):
@@ -228,9 +222,7 @@ def h1_track(
     H = HomotopyPair(start, target, gamma1)
     out = []
     for res in track_stage(H, M):
-        if res.reason == START_REJECTED:
-            warnings.append("H1 start correction failed")
-        elif res.status != CONVERGED:
+        if res.status != CONVERGED:
             msg = f"H1 path ended {res.status}; point dropped"
             logger.warning(msg)
             warnings.append(msg)
@@ -267,35 +259,20 @@ class LPHResult:
     warnings: List[str] = field(default_factory=list)
 
 
-def _solve_constant_J(p: LPHProblem, rng) -> LPHResult:
-    # Degenerate d = 0 route: J is constant, so lambda decouples from x.
-    M, _ = witness_points(p.f, rng)
-    Jc = np.array(
-        [[entry.evaluate(np.zeros(p.n, dtype=complex)) for entry in row] for row in p.J],
-        dtype=complex,
-    )
-    lam, res_lsq, *_ = np.linalg.lstsq(Jc, p.beta, rcond=None)
-    solutions = []
-    if np.abs(Jc @ lam - p.beta).max() <= LINEAR_TOL:
-        for x in M:
-            solutions.append(np.concatenate([x, lam]))
-    return LPHResult(
-        dedup_points(solutions), len(M), 0, 0, len(solutions), 0, 0, witness_M=M
-    )
-
-
 def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHResult:
     """All isolated solutions of {f, J * lambda - beta} via the
     linear-product start system (witness slice -> slice moves -> lambda
-    back-solve -> final homotopy to the target)."""
+    back-solve -> final homotopy to the target).  A constant J (d = 0) has
+    none: lambda decouples from x, which ranges over V(f) of dimension
+    n - k >= 1 when J * lambda = beta is solvable.  That route returns right
+    after the witness stage, with D and the bound 0."""
     rng = rng if rng is not None else np.random.default_rng(0)
     n, k, d = p.n, p.k, p.d
-    if d == 0:
-        return _solve_constant_J(p, rng)
-
     warnings: List[str] = []
     M, L = witness_points(p.f, rng)
     D = len(M)
+    if d == 0:
+        return LPHResult([], D, 0, root_bound(n, k, d, D), 0, 0, 0, witness_M=M)
     np_ = normalize(p)
     target = np_.normalized_full_system()
     G = build_G(np_, target, rng)
@@ -327,8 +304,6 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
     counts = {CONVERGED: 0, DIVERGENT: 0, FAILED: 0}
     endpoints = []
     for res in track_stage(H2, omega):
-        if res.reason == START_REJECTED:
-            warnings.append("H2 start correction failed")
         counts[res.status] += 1
         if res.status == CONVERGED:
             endpoints.append(res.endpoint)

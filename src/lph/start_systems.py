@@ -1,8 +1,8 @@
 """Witness points by generic affine slicing, solved with a total-degree
 start system (scaled roots of unity) and the gamma-trick homotopy; and
 ``track_stage``, the one loop every homotopy stage runs its start points
-through: correct at t = 0, then track.  A start Newton cannot correct is
-not tracked; its record is a Failed ``PathResult``, reason ``start-rejected``.
+through: each is tracked as given.  A start that ``track_path``'s start
+test rejects gets a Failed ``PathResult``, reason ``start-rejected``.
 
 A square system whose rows are affine but one is solved on the line the
 affine rows cut out, with no path tracked (``line_points``): the nonlinear
@@ -28,9 +28,8 @@ from .tracker import (
     ENDPOINT_TOL,
     FAILED,
     HomotopyPair,
-    NoConvergenceError,
+    InvalidStartError,
     PathResult,
-    newton_correct,
     refine_endpoint,
     track_path,
 )
@@ -149,16 +148,15 @@ def line_points(F: PolySystem) -> Optional[List[np.ndarray]]:
 
 
 def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
-    """Run every start point of one homotopy stage: Newton-correct it at
-    t = 0, then track it.  Returns one PathResult per start, in order."""
+    """Track every start point of one homotopy stage as given.  Returns one
+    PathResult per start, in order; a start that ``track_path``'s start
+    test rejects gets a Failed record, reason ``start-rejected``."""
     records = []
     for s in starts:
         try:
-            z0 = newton_correct(H, s, 0.0)
-        except (SingularMatrixError, NoConvergenceError):
+            records.append(track_path(H, s))
+        except InvalidStartError:
             records.append(PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED))
-            continue
-        records.append(track_path(H, z0))
     return records
 
 
@@ -182,7 +180,6 @@ def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> Li
         return points
     G, roots = total_degree_start(degrees, offsets)
     H = HomotopyPair(G, F, gamma)
-    # the start roots pass the tracker's start test, so correction keeps them
     records = track_stage(H, roots)
     endpoints = [res.endpoint for res in records if res.status == CONVERGED]
     if not endpoints and records and all(res.status == FAILED for res in records):

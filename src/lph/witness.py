@@ -139,8 +139,6 @@ def real_witness_set(
         else:
             prob = build_critical_system(cur, betas[stage])
             result = lph_solve(prob, rng)
-            for w in result.warnings:
-                logger.warning("stage %d: %s", stage, w)
             full_rank_check(cur, result.witness_M)
             reals_full = real_filter(result.solutions, prob.full_system())
             reals = [r[:n] for r in reals_full]

@@ -374,10 +374,14 @@ def test_subcommand_flag_sets():
 
 
 def test_zero_constant_J_yields_empty_solve(tmp_path, capsys):
-    p = tmp_path / "zero.lph"
-    p.write_text("vars: x y\nf:\n  x*y - 1\nJ:\n  0\n  0\nbeta: 1 0\n")
-    assert main(["solve", str(p), "--json"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["solutions"] == []
+    # a constant J has no isolated solution: J * lambda = beta is either
+    # inconsistent (the first input) or solvable with x anywhere on V(f)
+    for text in ["vars: x y\nf:\n  x*y - 1\nJ:\n  0\n  0\nbeta: 1 0\n",
+                 "vars: x y\nf:\n  x + y - 1\nJ: jacobian\nbeta: 1 1\n"]:
+        p = tmp_path / "zero.lph"
+        p.write_text(text)
+        assert main(["solve", str(p), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["solutions"] == []
 
 
 def test_zero_beta_exit_3(tmp_path, capsys):

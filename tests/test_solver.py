@@ -202,15 +202,16 @@ def test_lph_solve_empty_solution_set():
 
 
 def test_lph_solve_constant_J_degenerate_route():
-    # linear f: the Jacobian is constant so lambda decouples
+    # linear f: the Jacobian is constant so lambda decouples, and with
+    # lambda = 1 every point of the line x + y = 1 solves the system: none
+    # is isolated, as the bound 0 says
     f = PolySystem(2, [parse_poly("x + y - 1", XY)])
     p = LPHProblem(f, jacobian_transpose(f), np.array([1.0, 1.0]))
     res = lph_solve(p, rng=np.random.default_rng(3))
+    assert res.solutions == []
+    assert res.D == 1 and len(res.witness_M) == 1
     assert res.bound == 0 and res.omega_count == 0
-    assert len(res.solutions) == res.D == 1
-    z = res.solutions[0]
-    assert abs(z[0] + z[1] - 1) < 1e-8
-    assert abs(z[2] - 1.0) < 1e-8  # lambda * (1,1) = (1,1)
+    assert (res.converged, res.divergent, res.failed) == (0, 0, 0)
 
 
 def test_lph_solve_sextic_stage1_counts():

@@ -125,25 +125,29 @@ def test_refine_on_keeps_a_real_start_exactly_real():
 
 
 @pytest.mark.parametrize("start", [
-    0.0,   # x^2 - 1 has a singular Jacobian at 0
-    1e6,   # Newton about halves x per step: 10 steps cannot reach x = 1
-], ids=["singular", "no-convergence"])
-def test_track_stage_rejects_a_start_newton_cannot_correct(monkeypatch, start):
+    0.0,   # x^2 - 1 reads -1 there, and its Jacobian is singular
+    1e6,   # far from both roots of x^2 - 1
+], ids=["singular", "far"])
+def test_track_stage_records_a_start_the_start_test_rejects(monkeypatch, start):
+    # every start reaches track_path as given; its start test rejects the
+    # one that is not a root of the start system, which is then recorded
     start_system, target = parse("x^2 - 1", ["x"]), parse("x^2 - 4", ["x"])
     H = HomotopyPair(start_system, target, 0.6 + 0.8j)
-    tracked = []
+    tracked, returned = [], []
     original = lph.start_systems.track_path
 
     def recording(H, z0):
         tracked.append(z0)
-        return original(H, z0)
+        returned.append(original(H, z0))
+        return returned[-1]
 
     monkeypatch.setattr(lph.start_systems, "track_path", recording)
     starts = [np.array([start + 0j]), np.array([1.0 + 0j])]
     rejected, res = track_stage(H, starts)
     assert rejected == lph.tracker.PathResult(FAILED, None, 0.0, float("inf"), 0,
                                               START_REJECTED)
-    assert len(tracked) == 1
+    assert [z[0] for z in tracked] == [start, 1.0]
+    assert len(returned) == 1 and returned[0] is res
     assert res.status == CONVERGED
     assert abs(abs(res.endpoint[0]) - 2.0) < 1e-12
 

@@ -1,7 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
+import lph.solver
 import lph.start_systems
+from lph.linalg import SingularMatrixError
 from lph.poly import parse, parse_poly, PolySystem
 from lph.start_systems import witness_points
 from lph.witness import (
@@ -191,3 +195,24 @@ def test_surface_stage_one_takes_the_line_route_in_its_witness_stage(monkeypatch
     for x in M:
         assert cur.residual(x) < 1e-12
         assert abs(L[0].evaluate(x)) < 1e-12
+
+
+def test_real_witness_set_logs_each_solver_warning_once(monkeypatch, caplog):
+    # lph_solve logs its warnings where they arise; real_witness_set does
+    # not log them again
+    original = lph.solver.backsolve_lambda
+    calls = []
+
+    def singular_once(x_star, G, rows):
+        calls.append(rows)
+        if len(calls) == 1:
+            raise SingularMatrixError("planted")
+        return original(x_star, G, rows)
+
+    monkeypatch.setattr(lph.solver, "backsolve_lambda", singular_once)
+    with caplog.at_level(logging.WARNING):
+        real_witness_set(_circle(), rng=np.random.default_rng(0))
+    assert len(calls) > 1
+    dropped = [r for r in caplog.records
+               if "singular lambda back-solve" in r.getMessage()]
+    assert len(dropped) == 1
