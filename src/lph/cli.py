@@ -173,34 +173,11 @@ def read_system(path: str) -> SystemInput:
     return SystemInput(variables, f, [t for _, t in f_lines], J, J_text, beta)
 
 
-# -- JSON with fixed float formatting ---------------------------------------
-
-
-def _fmt_float(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
-        raise ValueError("non-finite float in JSON output")
-    return format(float(v), ".17g")
-
-
-def to_json(obj) -> str:
-    """Serialize with floats at 17 significant digits so identical runs
-    produce byte-identical output."""
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{to_json(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(to_json(v) for v in obj) + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def to_json(doc) -> str:
+    """Compact JSON.  Dicts keep their order and floats print in their
+    shortest round-trip form, so identical runs give byte-identical output;
+    a non-finite float raises ValueError."""
+    return json.dumps(doc, separators=(",", ":"), allow_nan=False)
 
 
 def _complex_pairs(z: np.ndarray) -> list:

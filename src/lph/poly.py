@@ -73,6 +73,13 @@ class MultiPoly:
         exps[index] = 1
         return cls(n_vars, [(tuple(exps), 1.0)])
 
+    @classmethod
+    def affine(cls, coeffs: Sequence[complex], constant: complex) -> "MultiPoly":
+        """sum_i coeffs[i] * x_i + constant, in len(coeffs) variables."""
+        n = len(coeffs)
+        terms = [(tuple(int(i == j) for j in range(n)), c) for i, c in enumerate(coeffs)]
+        return cls(n, terms + [((0,) * n, constant)])
+
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -162,16 +162,8 @@ def build_G(np_: NormalizedProblem, target: PolySystem,
     if d < 1:
         raise DegreeZeroJacobianError("constant J: linear-product start system undefined")
     N = n + k
-    l_x = []
-    for _ in range(n - 1):
-        row = []
-        for _ in range(d):
-            terms = [
-                (tuple(int(i == j) for j in range(n)), unit_complex(rng)) for i in range(n)
-            ]
-            terms.append(((0,) * n, unit_complex(rng)))
-            row.append(MultiPoly(n, terms))
-        l_x.append(row)
+    l_x = [[MultiPoly.affine([unit_complex(rng) for _ in range(n)], unit_complex(rng))
+            for _ in range(d)] for _ in range(n - 1)]
     h_coeffs = np.array(
         [[unit_complex(rng) for _ in range(k)] for _ in range(n - 1)], dtype=complex
     )

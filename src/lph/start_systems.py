@@ -1,8 +1,8 @@
 """Witness points by generic affine slicing, solved with a total-degree
 start system (scaled roots of unity) and the gamma-trick homotopy; and
 ``track_stage``, the one loop every homotopy stage runs its start points
-through: each is tracked as given.  A start that ``track_path``'s start
-test rejects gets a Failed ``PathResult``, reason ``start-rejected``.
+through: each is tracked as given, and ``track_path`` records a start its
+start test rejects as a Failed ``PathResult``, reason ``start-rejected``.
 
 A square system whose rows are affine but one is solved on the line the
 affine rows cut out, with no path tracked (``line_points``): the nonlinear
@@ -28,14 +28,12 @@ from .tracker import (
     ENDPOINT_TOL,
     FAILED,
     HomotopyPair,
-    InvalidStartError,
     PathResult,
     refine_endpoint,
     track_path,
 )
 
 DEDUP_TOL = 1e-6
-START_REJECTED = "start-rejected"
 
 
 class ZeroPolynomialError(ValueError):
@@ -56,12 +54,9 @@ def random_slice(f: PolySystem, rng: np.random.Generator) -> List[MultiPoly]:
     k = len(f)
     if k >= n:
         raise ValueError("slicing requires k < n")
-    L = []
-    for _ in range(n - k):
-        terms = [(tuple(int(i == j) for j in range(n)), unit_complex(rng)) for i in range(n)]
-        terms.append(((0,) * n, 2.0 * (2.0 * rng.random() - 1.0)))
-        L.append(MultiPoly(n, terms))
-    return L
+    return [MultiPoly.affine([unit_complex(rng) for _ in range(n)],
+                             2.0 * (2.0 * rng.random() - 1.0))
+            for _ in range(n - k)]
 
 
 def total_degree_start(degrees: List[int], offsets: List[complex]):
@@ -94,7 +89,9 @@ def refine_on(R: HomotopyPair, point: np.ndarray) -> Optional[np.ndarray]:
     """Newton-polish a point against the target of the pair R (a system
     stacked on itself) under the tracker's endpoint-acceptance rule, with
     Newton run to ENDPOINT_TOL in at most 20 steps; None if the point is
-    rejected."""
+    rejected.  Under a path's budget (NEWTON_TOL, NEWTON_ITERS) Newton
+    runs on toward a double root until its step passes the contraction
+    test: the root of (x - 1)^2 is accepted at 1.0000039."""
     refined = refine_endpoint(R, point, max_iters=20, tol=ENDPOINT_TOL)
     return None if refined is None else refined[0]
 
@@ -148,16 +145,10 @@ def line_points(F: PolySystem) -> Optional[List[np.ndarray]]:
 
 
 def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
-    """Track every start point of one homotopy stage as given.  Returns one
-    PathResult per start, in order; a start that ``track_path``'s start
-    test rejects gets a Failed record, reason ``start-rejected``."""
-    records = []
-    for s in starts:
-        try:
-            records.append(track_path(H, s))
-        except InvalidStartError:
-            records.append(PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED))
-    return records
+    """Track every start point of one homotopy stage as given.  Returns
+    ``track_path``'s PathResult per start, in order, a rejected start's
+    included."""
+    return [track_path(H, s) for s in starts]
 
 
 def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> List[np.ndarray]:

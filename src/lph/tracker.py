@@ -21,7 +21,9 @@ Each ``PathResult`` also names the exit that ended the path (its
 - ``max-steps``: the step budget ``MAX_STEPS`` ran out (Failed);
 - ``refine-rejected``: the path reached the tail but ``refine_endpoint``
   rejected its endpoint, by the residual or the contraction test (Failed:
-  the tail point was accepted, so it lies within ``DIVERGENCE_NORM``).
+  the tail point was accepted, so it lies within ``DIVERGENCE_NORM``);
+- ``start-rejected``: the start point failed the start test, the residual
+  rule at ``NEWTON_TOL`` on the start system (Failed, no step taken).
 
 Every linear solve of the tracker factors its Jacobian with the point as
 the column scale (``lu_factor(J, z)``): a Jacobian that looks singular only
@@ -42,13 +44,10 @@ from .poly import PolySystem
 CONVERGED = "Converged"
 DIVERGENT = "Divergent"
 FAILED = "Failed"
+START_REJECTED = "start-rejected"
 
 
 class NoConvergenceError(RuntimeError):
-    pass
-
-
-class InvalidStartError(ValueError):
     pass
 
 
@@ -252,48 +251,43 @@ def contracted(step: np.ndarray, z: np.ndarray) -> bool:
 
 def refine_endpoint(H: HomotopyPair, z, max_iters: int = NEWTON_ITERS,
                     tol: float = NEWTON_TOL):
-    """The endpoint-acceptance rule: Newton at t = 1, then two polish steps
-    that push the residual toward the round-off floor; the target residual
-    must pass ``residual_within`` at ENDPOINT_TOL and one more Newton step
-    must pass ``contracted``.  Returns (point, residual), or None when the
-    point is rejected."""
+    """The endpoint-acceptance rule: Newton at t = 1, then up to three more
+    Newton steps, each from one factorization.  The first two push the
+    residual toward the round-off floor and are kept only while it falls;
+    the first step not kept (or the third) must pass ``contracted``, and
+    the target residual must pass ``residual_within`` at ENDPOINT_TOL.
+    Returns (point, residual), or None when the point is rejected."""
     try:
         z1 = newton_correct(H, z, 1.0, max_iters=max_iters, tol=tol)
+        for polish in range(3):
+            r = H.eval_h(z1, 1.0)
+            step = lu_solve_factored(lu_factor(H.eval_dh_dz(z1, 1.0), z1), r)
+            if polish == 2 or np.abs(H.eval_h(z1 - step, 1.0)).max() >= np.abs(r).max():
+                break
+            z1 = z1 - step
     except (SingularMatrixError, NoConvergenceError):
         return None
-    for _ in range(2):
-        r = H.eval_h(z1, 1.0)
-        try:
-            z_next = z1 - lu_solve_factored(lu_factor(H.eval_dh_dz(z1, 1.0), z1), r)
-        except SingularMatrixError:
-            break
-        if np.abs(H.eval_h(z_next, 1.0)).max() >= np.abs(r).max():
-            break
-        z1 = z_next
     residual = float(np.abs(H.target_values(z1)).max())
-    if not residual_within(residual, ENDPOINT_TOL, H.target_magnitude(z1)):
-        return None
-    try:
-        step = lu_solve_factored(lu_factor(H.eval_dh_dz(z1, 1.0), z1), H.eval_h(z1, 1.0))
-    except SingularMatrixError:
-        return None
-    if not contracted(step, z1):
+    if not (residual_within(residual, ENDPOINT_TOL, H.target_magnitude(z1))
+            and contracted(step, z1)):
         return None
     return z1, residual
 
 
 def track_path(H: HomotopyPair, z0) -> PathResult:
+    """Track one path from the start point z0 at t = 0 to t = 1.  A start
+    that fails the start test ends the path as Failed, ``start-rejected``;
+    a start of the wrong length raises ValueError."""
     z = np.asarray(z0, dtype=complex).copy()
     if z.shape != (H.n_vars,):
-        raise InvalidStartError("start point has wrong dimension")
+        raise ValueError("start point has wrong dimension")
     if not residual_within(np.abs(H.eval_h(z, 0.0)).max(), NEWTON_TOL, H.scale(z, 0.0)):
-        raise InvalidStartError("start point does not satisfy the start system")
+        return PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED)
 
     t = 0.0
     step = INITIAL_STEP
     successes = 0
     steps_taken = 0
-    norm = float(np.abs(z).max())
 
     # tangent at (z, t): kept through a rejected step, where neither moves,
     # and taken over from the angle check of an accepted step, which
@@ -342,11 +336,9 @@ def track_path(H: HomotopyPair, z0) -> PathResult:
             z = z_new
             t = t + h
             dz = dz_next
-            new_norm = float(np.abs(z).max())
-            if new_norm > DIVERGENCE_NORM:
+            if float(np.abs(z).max()) > DIVERGENCE_NORM:
                 return PathResult(DIVERGENT, None, t, float("inf"), steps_taken,
                                   "norm-exceeded")
-            norm = new_norm
             successes += 1
             if successes >= 3:
                 step = min(step * 1.5, MAX_STEP)
@@ -357,7 +349,7 @@ def track_path(H: HomotopyPair, z0) -> PathResult:
             if step < MIN_STEP:
                 # no tangent here means it was singular
                 growing = dz is not None and float(
-                    np.abs(z + MIN_STEP * dz).max()) > norm
+                    np.abs(z + MIN_STEP * dz).max()) > float(np.abs(z).max())
                 status = DIVERGENT if growing else FAILED
                 return PathResult(status, None, t, float("inf"), steps_taken, "min-step")
 

@@ -51,11 +51,8 @@ def build_critical_system(f: PolySystem, beta) -> LPHProblem:
 
 def augment(f: PolySystem, beta, c: float) -> PolySystem:
     """Append the hyperplane beta . x + c = 0 to f."""
-    n = f.n_vars
-    beta = np.asarray(beta, dtype=float)
-    terms = [(tuple(int(i == j) for j in range(n)), beta[i]) for i in range(n)]
-    terms.append(((0,) * n, float(c)))
-    return PolySystem(n, list(f.polys) + [MultiPoly(n, terms)])
+    return PolySystem(f.n_vars, list(f.polys)
+                      + [MultiPoly.affine(np.asarray(beta, dtype=float), float(c))])
 
 
 def real_filter(points, square_system: PolySystem) -> List[np.ndarray]:

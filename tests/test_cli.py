@@ -85,8 +85,11 @@ def test_vars_must_be_distinct_identifiers_exit_2(tmp_path, capsys, names):
 
 
 def test_to_json_fixed_formatting():
+    # compact, with floats in their shortest round-trip form
     assert to_json({"a": 0.5, "b": [1, "s"]}) == '{"a":0.5,"b":[1,"s"]}'
-    assert to_json(1 / 3) == "0.33333333333333331"
+    assert to_json(1 / 3) == "0.3333333333333333"
+    with pytest.raises(ValueError):
+        to_json({"residual": float("nan")})
 
 
 def test_solve_circle_text(circle_file, capsys):

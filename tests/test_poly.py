@@ -42,6 +42,13 @@ def test_canonical_form_merges_duplicates():
     assert p.coeffs[0] == 5.0
 
 
+def test_affine_row():
+    # sum_i coeffs[i] * x_i + constant; a zero coefficient drops its term
+    row = MultiPoly.affine([2.0, 0.0, -1.5j], 3.0)
+    assert row == parse_poly("2*x + 3", XYZ) + MultiPoly.variable(2, 3) * -1.5j
+    assert row.exps.tolist() == [[1, 0, 0], [0, 0, 1], [0, 0, 0]]
+
+
 def test_evaluate_linear():
     p = parse_poly("x + y", XY)
     assert p.evaluate(np.array([1.0, 2.0])) == pytest.approx(3.0)

@@ -1,9 +1,11 @@
 import itertools
+import logging
 import sys
 
 import numpy as np
 import pytest
 
+import lph.solver
 import lph.start_systems
 import lph.tracker
 from lph.poly import MultiPoly, parse, parse_poly, PolySystem, jacobian_transpose
@@ -19,6 +21,7 @@ from lph.solver import (
     root_bound,
 )
 from lph.start_systems import random_slice, solve_square, witness_points
+from lph.tracker import START_REJECTED
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -285,6 +288,33 @@ def test_h1_track_compiles_one_evaluator(monkeypatch):
     assert len(moved) == 6 and warnings == []
     assert all(f.residual(x) < 1e-8 for x in moved)
     assert len(compiled) == 1
+
+
+def test_h1_path_that_fails_drops_its_point_with_one_warning(monkeypatch, caplog):
+    # two quadrics in R^3 (k = 2), so H1 tracks paths.  One planted start
+    # off its start system: track_path records it as start-rejected, and
+    # h1_track drops the point with one warning, logged once
+    f = parse("x^2 + y*z - 2\nx + y^2 - z - 1", XYZ)
+    p = LPHProblem(f, jacobian_transpose(f), np.random.default_rng(9).normal(size=3) + 0j)
+    clean = lph_solve(p, rng=np.random.default_rng(10))
+    original = lph.solver.track_stage
+    stages = []
+
+    def planting(H, starts):
+        starts = list(starts)
+        if not stages:
+            starts[0] = starts[0] + 1.0
+        stages.append(original(H, starts))
+        return stages[-1]
+
+    monkeypatch.setattr(lph.solver, "track_stage", planting)
+    with caplog.at_level(logging.WARNING, logger="lph.solver"):
+        planted = lph_solve(p, rng=np.random.default_rng(10))
+    msg = "H1 path ended Failed; point dropped"
+    assert stages[0][0].reason == START_REJECTED
+    assert clean.warnings == [] and planted.warnings == [msg]
+    assert [r.getMessage() for r in caplog.records] == [msg]
+    assert planted.omega_count == clean.omega_count - 1
 
 
 def test_lph_solve_assembles_no_original_system_and_refines_nothing(monkeypatch):

@@ -8,7 +8,6 @@ import lph.start_systems
 import lph.tracker
 from lph.poly import MultiPoly, parse, parse_poly, PolySystem
 from lph.start_systems import (
-    START_REJECTED,
     ZeroPolynomialError,
     dedup_points,
     line_points,
@@ -20,7 +19,14 @@ from lph.start_systems import (
     unit_complex,
     witness_points,
 )
-from lph.tracker import CONVERGED, ENDPOINT_TOL, FAILED, HomotopyPair, residual_within
+from lph.tracker import (
+    CONVERGED,
+    ENDPOINT_TOL,
+    FAILED,
+    START_REJECTED,
+    HomotopyPair,
+    residual_within,
+)
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -129,8 +135,8 @@ def test_refine_on_keeps_a_real_start_exactly_real():
     1e6,   # far from both roots of x^2 - 1
 ], ids=["singular", "far"])
 def test_track_stage_records_a_start_the_start_test_rejects(monkeypatch, start):
-    # every start reaches track_path as given; its start test rejects the
-    # one that is not a root of the start system, which is then recorded
+    # every start reaches track_path as given, which records the one its
+    # start test rejects (not a root of the start system) and returns it
     start_system, target = parse("x^2 - 1", ["x"]), parse("x^2 - 4", ["x"])
     H = HomotopyPair(start_system, target, 0.6 + 0.8j)
     tracked, returned = [], []
@@ -147,7 +153,7 @@ def test_track_stage_records_a_start_the_start_test_rejects(monkeypatch, start):
     assert rejected == lph.tracker.PathResult(FAILED, None, 0.0, float("inf"), 0,
                                               START_REJECTED)
     assert [z[0] for z in tracked] == [start, 1.0]
-    assert len(returned) == 1 and returned[0] is res
+    assert returned == [rejected, res]
     assert res.status == CONVERGED
     assert abs(abs(res.endpoint[0]) - 2.0) < 1e-12
 
@@ -290,8 +296,10 @@ def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(monke
 
 
 def test_non_reduced_hypersurface_falls_back_to_tracking(monkeypatch):
-    # every root of (x^2 + y^2 - 1)^2 on a line is double: refine_on rejects
-    # them, and solve_square returns exactly the total-degree route's points
+    # every root of (x^2 + y^2 - 1)^2 on a line is double: refine_on accepts
+    # all four near-double roots, but they are 2 distinct points against
+    # the degree 4, so line_points declines and solve_square returns exactly
+    # the total-degree route's points
     F = parse("(x^2 + y^2 - 1)^2\n0.3*x - 0.7*y + 0.2", XY)
     assert line_points(F) is None
     line, by_paths, n_tracked, same_rng = _both_routes(
@@ -300,6 +308,36 @@ def test_non_reduced_hypersurface_falls_back_to_tracking(monkeypatch):
     assert len(line) == len(by_paths)
     assert all(np.array_equal(x, y) for x, y in zip(line, by_paths))
     assert same_rng
+
+
+def test_line_points_declines_when_refine_on_rejects_a_root(monkeypatch):
+    # one planted rejection among a sextic slice's six roots: line_points
+    # returns None, and witness_points returns the tracked route's points
+    # with the rng where the line route leaves it
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    F = PolySystem(2, list(f.polys) + random_slice(f, np.random.default_rng(0)))
+    original = lph.start_systems.refine_on
+    calls = []
+
+    def rejecting_the_third(R, point):
+        calls.append(point)
+        return None if len(calls) == 3 else original(R, point)
+
+    with monkeypatch.context() as m:
+        m.setattr(lph.start_systems, "refine_on", rejecting_the_third)
+        assert line_points(F) is None
+        assert len(calls) == 3
+        calls.clear()
+        rng_planted = np.random.default_rng(0)
+        planted = witness_points(f, rng_planted)[0]
+    assert len(calls) == 3
+    with monkeypatch.context() as m:
+        m.setattr(lph.start_systems, "line_points", lambda F: None)
+        rng_tracked = np.random.default_rng(0)
+        tracked = witness_points(f, rng_tracked)[0]
+    assert len(planted) == len(tracked) == 6
+    assert all(np.array_equal(x, y) for x, y in zip(planted, tracked))
+    assert rng_planted.bit_generator.state == rng_tracked.bit_generator.state
 
 
 def test_line_points_needs_one_nonlinear_row_and_independent_affine_rows():

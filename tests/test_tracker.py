@@ -6,9 +6,11 @@ from lph.poly import parse, parse_poly, PolySystem
 from lph.tracker import (
     CONVERGED,
     DIVERGENT,
+    FAILED,
+    START_REJECTED,
     HomotopyPair,
-    InvalidStartError,
     NoConvergenceError,
+    PathResult,
     SystemEvaluator,
     davidenko_rhs,
     newton_correct,
@@ -190,11 +192,14 @@ def test_path_end_reasons(monkeypatch, start, target, gamma, z0, max_steps, stat
 
 
 def test_track_bad_start_rejected():
+    # a start off the start system is a path outcome, which track_path
+    # records; a start of the wrong length is a caller bug
     H = _pair("x - 1", "x - 2", X)
-    with pytest.raises(InvalidStartError):
-        track_path(H, np.array([5.0 + 0j]))
-    with pytest.raises(InvalidStartError):
+    assert track_path(H, np.array([5.0 + 0j])) == PathResult(
+        FAILED, None, 0.0, float("inf"), 0, START_REJECTED)
+    with pytest.raises(ValueError) as raised:
         track_path(H, np.array([1.0, 1.0], dtype=complex))
+    assert type(raised.value) is ValueError
 
 
 def test_converged_residual_contract():
