@@ -1,13 +1,16 @@
-"""Path ledger of one benchmark workload pass: one line per ``track_path``
-call, then one line per operation output.  A ``diff`` of two ledgers, say of
-a change and of its parent commit, shows whether every path kept its status,
-exit reason and step count.
+"""Path ledger of one benchmark workload pass: one line per path of each
+``track_stage`` call and one line per stage, then one line per operation
+output.  A ``diff`` of two ledgers, say of a change and of its parent
+commit, shows whether every path kept its status, exit reason and step
+count.
 
     python3 scripts/path_ledger.py --workload sextic_witness --seed 7
     python3 scripts/path_ledger.py --workload random_batch --seed 100
 
-A path line reads ``path STATUS REASON STEPS T_REACHED DIGEST`` and an
-output line ``op LABEL ok=... SUMMARY DIGEST``.  A digest is the first 16 hex
+A path line reads ``path STATUS REASON STEPS T_REACHED DIGEST``, a stage
+line ``stage paths=P steps=S longest=L`` (L, the most steps of one path, is
+the number of lockstep iterations the stage took) and an output line
+``op LABEL ok=... SUMMARY DIGEST``.  A digest is the first 16 hex
 digits of the SHA-256 of a point's (or an output's points') bytes, ``-`` for
 a path without endpoint.
 
@@ -134,21 +137,25 @@ def main(argv=None) -> int:
         ap.error("--workload is required unless --compare is given")
     seed = DEFAULT_SEEDS[args.workload] if args.seed is None else args.seed
 
-    original = lph.tracker.track_path
+    # start_systems holds track_stage in this tree and in older ones
+    original = lph.start_systems.track_stage
     op_paths: list = []
 
-    def ledger(H, z0):
-        res = original(H, z0)
-        op_paths.append([res.status, res.reason, res.steps_taken])
-        end = None if res.endpoint is None else [res.endpoint]
-        print(f"path {res.status} {res.reason} {res.steps_taken} {res.t_reached!r} "
-              f"{digest(end)}")
-        return res
+    def ledger(H, starts):
+        results = original(H, starts)
+        for res in results:
+            op_paths.append([res.status, res.reason, res.steps_taken])
+            end = None if res.endpoint is None else [res.endpoint]
+            print(f"path {res.status} {res.reason} {res.steps_taken} {res.t_reached!r} "
+                  f"{digest(end)}")
+        steps = [res.steps_taken for res in results]
+        print(f"stage paths={len(steps)} steps={sum(steps)} longest={max(steps, default=0)}")
+        return results
 
-    # every module that imported track_path by name holds its own binding
+    # every module that imported track_stage by name holds its own binding
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "lph" and getattr(module, "track_path", None) is original:
-            module.track_path = ledger
+        if name.split(".")[0] == "lph" and getattr(module, "track_stage", None) is original:
+            module.track_stage = ledger
 
     ok = True
     ops = []

@@ -25,7 +25,6 @@ from .start_systems import (
     DEDUP_TOL,
     dedup_points,
     line_points,
-    track_stage,
     unit_complex,
     witness_points,
 )
@@ -37,6 +36,7 @@ from .tracker import (  # noqa: F401
     FAILED,
     HomotopyPair,
     track_path,
+    track_stage,
 )
 
 logger = logging.getLogger(__name__)

@@ -1,8 +1,6 @@
 """Witness points by generic affine slicing, solved with a total-degree
-start system (scaled roots of unity) and the gamma-trick homotopy; and
-``track_stage``, the one loop every homotopy stage runs its start points
-through: each is tracked as given, and ``track_path`` records a start its
-start test rejects as a Failed ``PathResult``, reason ``start-rejected``.
+start system (scaled roots of unity) and the gamma-trick homotopy, whose
+paths ``tracker.track_stage`` tracks in lockstep.
 
 A square system whose rows are affine but one is solved on the line the
 affine rows cut out, with no path tracked (``line_points``): the nonlinear
@@ -23,14 +21,16 @@ import numpy as np
 
 from .linalg import SingularMatrixError, lu_factor, lu_solve_factored
 from .poly import MultiPoly, PolySystem
-from .tracker import (
+# track_path is unused here; perfbench/test_perfbench.py and tests/test_api.py
+# check this binding of it
+from .tracker import (  # noqa: F401
     CONVERGED,
     ENDPOINT_TOL,
     FAILED,
     HomotopyPair,
-    PathResult,
     refine_endpoint,
     track_path,
+    track_stage,
 )
 
 DEDUP_TOL = 1e-6
@@ -142,13 +142,6 @@ def line_points(F: PolySystem) -> Optional[List[np.ndarray]]:
         points.append(x)
     points = dedup_points(points)
     return points if len(points) == d else None
-
-
-def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
-    """Track every start point of one homotopy stage as given.  Returns
-    ``track_path``'s PathResult per start, in order, a rejected start's
-    included."""
-    return [track_path(H, s) for s in starts]
 
 
 def solve_square(F: PolySystem, rng: Optional[np.random.Generator] = None) -> List[np.ndarray]:

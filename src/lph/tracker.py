@@ -1,4 +1,4 @@
-"""Predictor-corrector continuation of one path of
+"""Predictor-corrector continuation of the paths of
 H(z, t) = (1 - t) * G(z) + gamma * t * F(z) from t = 0 to t = 1.
 
 The predictor is explicit Euler on the Davidenko ODE; the corrector is a
@@ -9,6 +9,25 @@ accepted step is the next step's predictor.  Paths end in one of
 three states:
 Converged (finite endpoint, refined at t = 1), Divergent (left every
 bounded region), or Failed (tracking broke down at bounded norm).
+
+``track_stage`` tracks every path of a stage in lockstep.  The live paths
+are rows of (P, n) arrays, each with its own t, step size, success count
+and tangent, and every iteration makes one step attempt for each of them:
+one batched evaluation per Newton iteration gives H, dH/dz, dH/dt and the
+scale of every row, one stacked factorization per Newton iteration serves
+every row's Newton step, and the last one serves the tangents at the
+corrected points.  Masks carry each path's own decisions, which are those
+of a path tracked alone; a path leaves the live set when it ends, and
+``track_path`` is the stage of one start.
+
+A path's result does not depend on its batch: every row of every batched
+quantity has the bytes it gets in a batch of one.  Elementwise arithmetic
+and per-row reductions are so by construction, as is a stacked
+``np.linalg.inv``.  Matrix products are not: ``@`` and ``prod`` pick their
+kernel and their summation order by shape and memory layout, so the
+evaluator multiplies gathered powers one variable at a time and makes its
+products with ``np.einsum``, whose complex kernel sums each row in order
+whatever P is (``test_solver`` checks stages byte for byte).
 
 Each ``PathResult`` also names the exit that ended the path (its
 ``reason``):
@@ -26,7 +45,7 @@ Each ``PathResult`` also names the exit that ended the path (its
   rule at ``NEWTON_TOL`` on the start system (Failed, no step taken).
 
 Every linear solve of the tracker factors its Jacobian with the point as
-the column scale (``lu_factor(J, z)``): a Jacobian that looks singular only
+the column scale (``factor_stack(J, Z)``): a Jacobian that looks singular only
 because the point's coordinates differ by many orders of magnitude, as on a
 path to infinity, is judged again with its columns scaled to the point.
 """
@@ -34,11 +53,11 @@ path to infinity, is judged again with its columns scaled to the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .linalg import SingularMatrixError, lu_factor, lu_solve_factored
+from .linalg import SingularMatrixError, factor_stack, lu_factor, lu_solve_factored
 from .poly import PolySystem
 
 CONVERGED = "Converged"
@@ -83,6 +102,11 @@ class SystemEvaluator:
         self._vals = self._dense(val, self.n_polys, len(column))
         self._abs_vals = np.abs(self._vals)
         self._jac = self._dense(jac, self.n_polys * n, len(column))
+        # per polynomial, its value then its gradient: one product gives a
+        # batch of points' values and Jacobians
+        self._vals_grads = np.concatenate(
+            [self._vals[:, None], self._jac.reshape(self.n_polys, n, -1)], axis=1
+        ).reshape(self.n_polys * (n + 1), -1)
         exps = np.array(list(column), dtype=np.intp).reshape(-1, n)
         width = int(exps.max()) + 1 if exps.size else 1
         self._exponents = np.arange(width)
@@ -97,12 +121,23 @@ class SystemEvaluator:
             out[row, cols] = coeffs
         return out
 
+    def _monomial_rows(self, Z: np.ndarray) -> np.ndarray:
+        """(P, n_monomials) monomials of the P points Z (P, n_vars).  The
+        gathered powers are multiplied one variable at a time, so each
+        row's bytes do not depend on P (a ``prod`` would reduce in the
+        layout order of the gather, which changes with P)."""
+        powers = (Z[:, :, None] ** self._exponents).reshape(len(Z), -1)
+        gathered = powers.take(self._gather, axis=1)
+        mono = gathered[:, 0]
+        for v in range(1, self.n_vars):
+            mono = mono * gathered[:, v]
+        return mono
+
     def _monomials(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         key = z.tobytes()
         if key != self._key:
-            powers = z[:, None] ** self._exponents
-            self._mono = powers.ravel()[self._gather].prod(axis=0)
+            self._mono = self._monomial_rows(z[None])[0]
             self._abs = None
             self._key = key
         return self._mono
@@ -120,6 +155,16 @@ class SystemEvaluator:
         if self._abs is None:
             self._abs = np.abs(mono)
         return self._abs_vals @ self._abs
+
+    def evaluate(self, Z: np.ndarray):
+        """At the P points Z (P, n_vars): per point and polynomial its value
+        and gradient, (P, n_polys, 1 + n_vars), and its magnitude,
+        (P, n_polys).  Each row comes from the same ``einsum`` kernel
+        whatever P is."""
+        mono = self._monomial_rows(Z)
+        vals_grads = np.einsum("rm,pm->pr", self._vals_grads, mono)
+        magnitudes = np.einsum("rm,pm->pr", self._abs_vals, np.abs(mono))
+        return vals_grads.reshape(len(Z), self.n_polys, -1), magnitudes
 
 
 # Step control: first, smallest and largest step in t.
@@ -139,7 +184,7 @@ MAX_STEPS = 10000
 
 # Newton's residual tolerance and iteration budget of a path (start,
 # endgame, endpoint), and the tight budget of a corrector step (see
-# track_path); an endpoint is accepted at ENDPOINT_TOL
+# track_stage); an endpoint is accepted at ENDPOINT_TOL
 NEWTON_TOL = 1e-10
 NEWTON_ITERS = 10
 STEP_ITERS = 2
@@ -153,8 +198,9 @@ def residual_within(residual: float, tol: float, magnitude: float) -> bool:
     """The one acceptance rule for a residual: it counts as zero when it is
     at most tol * max(1, magnitude), where magnitude is the evaluation scale
     of the system at the point (``SystemEvaluator.magnitude``), so the bound
-    never falls below the round-off floor of a large point."""
-    return residual <= tol * max(1.0, magnitude)
+    never falls below the round-off floor of a large point.  It takes
+    arrays of residuals and magnitudes too, one verdict per entry."""
+    return residual <= tol * np.fmax(1.0, magnitude)
 
 
 class HomotopyPair:
@@ -182,10 +228,6 @@ class HomotopyPair:
         J, n = self._h.jacobian(z), self.n_vars
         return (1 - t) * J[:n] + self.gamma * t * J[n:]
 
-    def eval_dh_dt(self, z: np.ndarray) -> np.ndarray:
-        v, n = self._h.values(z), self.n_vars
-        return self.gamma * v[n:] - v[:n]
-
     def target_values(self, z: np.ndarray) -> np.ndarray:
         return self._h.values(z)[self.n_vars:]
 
@@ -199,6 +241,28 @@ class HomotopyPair:
         return ((1 - t) * float(m[:n].max(initial=0.0))
                 + abs(self.gamma) * t * float(m[n:].max(initial=0.0)))
 
+    def weights(self, T: np.ndarray):
+        """The weights of G and F at the P values T, for ``evaluate``."""
+        a = 1 - T
+        return a[:, None, None], (self.gamma * T)[:, None, None], a, abs(self.gamma) * T
+
+    def evaluate(self, Z: np.ndarray, weights):
+        """At P points Z (P, n), point p at the t of row p of ``weights``:
+        [H | dH/dz] as one (P, n, 1 + n) array, the scale (P,), and the
+        values of G and F (P, 2n) for ``dh_dt``, all from one evaluation of
+        the stacked system."""
+        vals_grads, m = self._h.evaluate(Z)
+        a, b, a_scale, b_scale = weights
+        n = self.n_vars
+        h_dz = a * vals_grads[:, :n] + b * vals_grads[:, n:]
+        m = m.reshape(len(Z), 2, n).max(axis=2, initial=0.0)
+        return h_dz, a_scale * m[:, 0] + b_scale * m[:, 1], vals_grads[:, :, 0]
+
+    def dh_dt(self, values: np.ndarray) -> np.ndarray:
+        """dH/dt at P points from their values of G and F (P, 2n)."""
+        n = self.n_vars
+        return self.gamma * values[:, n:] - values[:, :n]
+
 
 @dataclass
 class PathResult:
@@ -211,17 +275,22 @@ class PathResult:
 
 
 def davidenko_rhs(H: HomotopyPair, z, t: float) -> np.ndarray:
-    """Tangent dz/dt from (dH/dz) dz/dt = -dH/dt."""
-    z = np.asarray(z, dtype=complex)
-    return lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), -H.eval_dh_dt(z))
+    """Tangent dz/dt from (dH/dz) dz/dt = -dH/dt at one point, as
+    ``track_stage`` takes it for each of its paths."""
+    Z = np.asarray(z, dtype=complex)[None]
+    h_dz, _, values = H.evaluate(Z, H.weights(np.array([float(t)])))
+    return lu_solve_factored(lu_factor(h_dz[0, :, 1:], Z[0]), -H.dh_dt(values)[0])
 
 
-def _cos_angle(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    return float(np.real(np.vdot(u, v)) / (nu * nv))
+def _cos_angles(U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Per row, the cosine of the angle between U[p] and V[p]; 1 when
+    either is zero."""
+    Uc = U.conj()
+    uu = np.einsum("pi,pi->p", Uc, U).real
+    vv = np.einsum("pi,pi->p", V.conj(), V).real
+    norms = np.sqrt(uu * vv)
+    dot = np.einsum("pi,pi->p", Uc, V).real
+    return np.divide(dot, norms, out=np.ones(len(dot)), where=norms != 0.0)
 
 
 def newton_correct(H: HomotopyPair, z, t: float, max_iters: int = NEWTON_ITERS,
@@ -274,88 +343,149 @@ def refine_endpoint(H: HomotopyPair, z, max_iters: int = NEWTON_ITERS,
     return z1, residual
 
 
-def track_path(H: HomotopyPair, z0) -> PathResult:
-    """Track one path from the start point z0 at t = 0 to t = 1.  A start
-    that fails the start test ends the path as Failed, ``start-rejected``;
+def _correct(H: HomotopyPair, Z: np.ndarray, T: np.ndarray, iters: np.ndarray,
+             active: np.ndarray):
+    """``newton_correct`` on the active rows of Z at once, row p at t = T[p]
+    with a budget of iters[p] steps: a row drops out when its residual
+    passes, its budget runs out or its Jacobian is singular.  Every row is
+    evaluated and its Jacobian factored in each iteration, so the last
+    iteration's factors are those at the corrected points, where the next
+    tangents are taken.  Returns the corrected points, which rows passed,
+    and the last iteration's Jacobian verdicts, factors and dH/dt."""
+    Z = Z.copy()
+    passed = np.zeros(len(Z), dtype=bool)
+    weights = H.weights(T)
+    i = 0
+    while True:
+        h_dz, scale, values = H.evaluate(Z, weights)
+        r = h_dz[:, :, 0]
+        within = residual_within(np.abs(r).max(axis=1), NEWTON_TOL, scale)
+        passed |= active & within
+        regular, factored = factor_stack(h_dz[:, :, 1:], Z)
+        active &= ~within & (iters > i) & regular
+        if not np.count_nonzero(active):
+            return Z, passed, regular, factored, H.dh_dt(values)
+        np.subtract(Z, lu_solve_factored(factored, r), out=Z, where=active[:, None])
+        i += 1
+
+
+def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
+    """Track every start point of one homotopy stage from t = 0 to t = 1,
+    all live paths in lockstep; returns one PathResult per start, in order.
+    A start that fails the start test ends as Failed, ``start-rejected``;
     a start of the wrong length raises ValueError."""
-    z = np.asarray(z0, dtype=complex).copy()
-    if z.shape != (H.n_vars,):
+    starts = [np.asarray(z0, dtype=complex) for z0 in starts]
+    if any(z0.shape != (H.n_vars,) for z0 in starts):
         raise ValueError("start point has wrong dimension")
-    if not residual_within(np.abs(H.eval_h(z, 0.0)).max(), NEWTON_TOL, H.scale(z, 0.0)):
-        return PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED)
+    results: List[Optional[PathResult]] = [None] * len(starts)
+    if not starts:
+        return results
+    Z = np.array(starts)
+    h_dz, scale, _ = H.evaluate(Z, H.weights(np.zeros(len(Z))))
+    started = residual_within(np.abs(h_dz[:, :, 0]).max(axis=1), NEWTON_TOL, scale)
+    for p in np.flatnonzero(~started):
+        results[p] = PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED)
 
-    t = 0.0
-    step = INITIAL_STEP
-    successes = 0
-    steps_taken = 0
+    # The live paths: their start index, point, t, step size, accepted
+    # steps since the last growth, whether their last step was accepted,
+    # and the tangent at (z, t) where has_dz.  The tangent is kept through
+    # a rejected step, where neither moves, and taken over from the angle
+    # check of an accepted step, which computed it at the new (z, t).
+    # Every live path has taken the same number of steps.
+    index = np.flatnonzero(started)
+    Z = Z[started]
+    T = np.zeros(len(Z))
+    step = np.full(len(Z), INITIAL_STEP)
+    successes = np.zeros(len(Z), dtype=int)
+    accepted = np.zeros(len(Z), dtype=bool)
+    DZ = np.zeros_like(Z)
+    has_dz = np.zeros(len(Z), dtype=bool)
+    steps = 0
+    while True:
+        # the exits of the last step; a path leaves the live set when it ends
+        norm = np.abs(Z).max(axis=1)
+        ended = np.where(accepted, norm > DIVERGENCE_NORM, step < MIN_STEP) | (T >= T_TAIL)
+        if steps >= MAX_STEPS:
+            ended[:] = True
+        if np.count_nonzero(ended):
+            for p in ended.nonzero()[0]:
+                results[index[p]] = _end(H, Z[p], float(T[p]), steps, accepted[p],
+                                         norm[p], step[p], DZ[p] if has_dz[p] else None)
+            live = ~ended
+            index, Z, T, step, successes, accepted, DZ, has_dz, norm = (
+                a[live] for a in (index, Z, T, step, successes, accepted, DZ, has_dz, norm))
+        if not index.size:
+            return results
 
-    # tangent at (z, t): kept through a rejected step, where neither moves,
-    # and taken over from the angle check of an accepted step, which
-    # computed it at the new (z, t)
-    dz = None
-    while t < T_TAIL:
-        if steps_taken >= MAX_STEPS:
-            return PathResult(FAILED, None, t, float("inf"), steps_taken, "max-steps")
-        if t >= T_END:
-            # Geometric tail: cap the step by a fraction of the remaining
-            # distance so far-away endpoints are followed, not jumped at.
-            h = min(step, 0.5 * (1.0 - t), T_TAIL - t)
-        else:
-            h = min(step, T_END - t)
+        # Geometric tail: from T_END on, cap the step by a fraction of the
+        # remaining distance so far-away endpoints are followed, not jumped at.
+        h = np.minimum(step, np.where(T >= T_END, np.minimum(0.5 * (1.0 - T), T_TAIL - T),
+                                      T_END - T))
         # Tight per-step corrector budget: a predictor point that needs many
         # Newton iterations has likely strayed toward another path, so fail
         # the step and halve instead.  Once the step is tiny the prediction
         # is accurate and jumping is not a concern, so give Newton its full
         # budget and drop the guard.
         tight = h > 1e-4
-        dz_next = None
-        try:
-            if dz is None:
-                dz = davidenko_rhs(H, z, t)
-            z_pred = z + h * dz
-            z_new = newton_correct(H, z_pred, t + h, STEP_ITERS if tight else NEWTON_ITERS)
-            if tight:
-                # corrector success also requires the correction to stay
-                # small against the predicted move; a large pull-back means
-                # the iteration latched onto a different path
-                move = float(np.abs(z_pred - z).max())
-                corr = float(np.abs(z_new - z_pred).max())
-                ok = corr <= max(0.5 * move, 10 * NEWTON_TOL * (1.0 + float(np.abs(z).max())))
-            else:
-                ok = True
-            if ok and h > 10 * MIN_STEP:
-                # tangent consistency: a rotation past 60 degrees in one
-                # step means either a hairpin the step cannot resolve or a
-                # hop onto a neighboring path, so halve and retry
-                dz_next = davidenko_rhs(H, z_new, t + h)
-                ok = _cos_angle(dz, dz_next) >= 0.5
-        except (SingularMatrixError, NoConvergenceError):
-            ok = False
-        steps_taken += 1
-        if ok:
-            z = z_new
-            t = t + h
-            dz = dz_next
-            if float(np.abs(z).max()) > DIVERGENCE_NORM:
-                return PathResult(DIVERGENT, None, t, float("inf"), steps_taken,
-                                  "norm-exceeded")
-            successes += 1
-            if successes >= 3:
-                step = min(step * 1.5, MAX_STEP)
-                successes = 0
-        else:
-            successes = 0
-            step = step / 2
-            if step < MIN_STEP:
-                # no tangent here means it was singular
-                growing = dz is not None and float(
-                    np.abs(z + MIN_STEP * dz).max()) > float(np.abs(z).max())
-                status = DIVERGENT if growing else FAILED
-                return PathResult(status, None, t, float("inf"), steps_taken, "min-step")
+        rows = (~has_dz).nonzero()[0]
+        if rows.size:
+            h_dz, _, values = H.evaluate(Z[rows], H.weights(T[rows]))
+            regular, factored = factor_stack(h_dz[:, :, 1:], Z[rows])
+            # a path whose tangent is singular fails its step, standing still
+            DZ[rows] = np.where(regular[:, None],
+                                lu_solve_factored(factored, -H.dh_dt(values)), 0.0)
+            has_dz[rows] = regular
+        Z_pred = Z + h[:, None] * DZ
+        T_new = T + h
+        Z_new, ok, regular, factored, dh_dt = _correct(
+            H, Z_pred, T_new, np.where(tight, STEP_ITERS, NEWTON_ITERS), has_dz.copy())
+        # corrector success also requires the correction to stay small
+        # against the predicted move; a large pull-back means the iteration
+        # latched onto a different path
+        move = np.abs(Z_pred - Z).max(axis=1)
+        corr = np.abs(Z_new - Z_pred).max(axis=1)
+        ok &= ~tight | (corr <= np.maximum(0.5 * move, 10 * NEWTON_TOL * (1.0 + norm)))
+        # tangent consistency: a rotation past 60 degrees in one step means
+        # either a hairpin the step cannot resolve or a hop onto a
+        # neighboring path, so halve and retry
+        checked = ok & (h > 10 * MIN_STEP)
+        dz_next = lu_solve_factored(factored, -dh_dt)
+        ok &= ~checked | (regular & (_cos_angles(DZ, dz_next) >= 0.5))
 
+        steps += 1
+        np.copyto(Z, Z_new, where=ok[:, None])
+        np.copyto(T, T_new, where=ok)
+        # an accepted step without an angle check leaves no tangent
+        np.copyto(DZ, dz_next, where=(ok & checked)[:, None])
+        np.copyto(has_dz, checked, where=ok)
+        successes = (successes + 1) * ok
+        grown = successes >= 3
+        step = np.where(grown, np.minimum(step * 1.5, MAX_STEP), np.where(ok, step, step / 2))
+        successes[grown] = 0
+        accepted = ok
+
+
+def _end(H: HomotopyPair, z: np.ndarray, t: float, steps: int, accepted: bool,
+         norm: float, step: float, dz: Optional[np.ndarray]) -> PathResult:
+    """The result of a path that ends at (z, t) after ``steps`` steps, the
+    last one accepted or not: it left through the norm or the minimum step,
+    reached the tail, or ran out of steps."""
+    if accepted and norm > DIVERGENCE_NORM:
+        return PathResult(DIVERGENT, None, t, float("inf"), steps, "norm-exceeded")
+    if not accepted and step < MIN_STEP:
+        # no tangent here means it was singular
+        growing = dz is not None and np.abs(z + MIN_STEP * dz).max() > norm
+        return PathResult(DIVERGENT if growing else FAILED, None, t, float("inf"), steps,
+                          "min-step")
+    if t < T_TAIL:
+        return PathResult(FAILED, None, t, float("inf"), steps, "max-steps")
     refined = refine_endpoint(H, z)
-    steps_taken += 1
     if refined is None:
-        return PathResult(FAILED, None, t, float("inf"), steps_taken, "refine-rejected")
-    z1, residual = refined
-    return PathResult(CONVERGED, z1, 1.0, residual, steps_taken, "converged")
+        return PathResult(FAILED, None, t, float("inf"), steps + 1, "refine-rejected")
+    return PathResult(CONVERGED, refined[0], 1.0, refined[1], steps + 1, "converged")
+
+
+def track_path(H: HomotopyPair, z0) -> PathResult:
+    """Track one path from the start point z0 at t = 0 to t = 1: the stage
+    of one start."""
+    return track_stage(H, [z0])[0]

@@ -6,7 +6,6 @@ import time
 
 import numpy as np
 
-import lph.start_systems
 from lph.cli import main
 from lph.poly import MultiPoly, parse, parse_poly, PolySystem, jacobian_transpose
 from lph.solver import LPHProblem, lph_solve
@@ -182,7 +181,7 @@ def test_criterion_6_component_coverage():
     _report(6, "component coverage", ok, f"missed seeds={misses}, {elapsed:.1f}s")
 
 
-def test_criterion_7_numerical_hygiene(monkeypatch):
+def test_criterion_7_numerical_hygiene(tracked_paths):
     t0 = time.perf_counter()
     rng = np.random.default_rng(70)
     h = 1e-6
@@ -217,24 +216,16 @@ def test_criterion_7_numerical_hygiene(monkeypatch):
         if np.abs(fd - davidenko_rhs(H, z, t)).max() >= 1e-3:
             tang_ok = False
 
-    # residual contract on every Converged path of seeded random solves
-    results = []
-    original = lph.start_systems.track_path
-
-    def recording(H, z0):
-        results.append(original(H, z0))
-        return results[-1]
-
-    monkeypatch.setattr(lph.start_systems, "track_path", recording)
+    # residual contract on every Converged path of seeded random solves:
+    # each of the 10 total-degree solves tracks 4 paths, all Converged
     resid_ok = True
     for trial in range(10):
         r2 = np.random.default_rng(7000 + trial)
         F = PolySystem(2, [_random_dense(2, 2, r2) for _ in range(2)])
-        results.clear()
         solve_square(F, rng=np.random.default_rng(7100 + trial))
-        for pr in results:
-            if pr.status == CONVERGED and pr.residual > 1e-8:
-                resid_ok = False
+    converged = [pr for _, _, pr in tracked_paths if pr.status == CONVERGED]
+    if len(converged) != 40 or any(pr.residual > 1e-8 for pr in converged):
+        resid_ok = False
     elapsed = time.perf_counter() - t0
     ok = deriv_ok and tang_ok and resid_ok and elapsed < 60.0
     _report(

@@ -8,6 +8,7 @@ from lph.linalg import (
     InvalidBetaError,
     SingularMatrixError,
     beta_normalizer,
+    factor_stack,
     lu_factor,
     lu_solve,
     lu_solve_factored,
@@ -187,3 +188,37 @@ def test_solve_matches_plain_factorization_when_nonsingular():
         z = 10.0 ** rng.uniform(-18, 4, size=n) + 0j
         x = lu_solve_factored(lu_factor(J, col_scale=z), r)
         assert x.tobytes() == lu_solve_factored(lu_factor(J), r).tobytes()
+
+
+def test_factor_stack_gives_each_matrix_its_own_verdict():
+    # one stack: a regular matrix, one with a zero row, an exactly singular
+    # one (a stacked inv raises LinAlgError on it) and one the rule calls
+    # singular until its columns are scaled by its point
+    z = np.array([8e2, 2e4, 1e-18], dtype=complex)
+    rng = np.random.default_rng(3)
+    regular = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    zero_row = regular.copy()
+    zero_row[1] = 0.0
+    singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, -1.0]], dtype=complex)
+    crawler = _CRAWLER_SCALED / np.abs(z)
+    stack = np.array([regular, zero_row, singular, crawler])
+    col_scale = np.array([z, z, z, z])
+    verdicts, factored = factor_stack(stack, col_scale)
+    assert verdicts.tolist() == [True, False, False, True]
+    # each verdict is the one it gets in a stack of one
+    for p in range(len(stack)):
+        assert factor_stack(stack[p:p + 1], col_scale[p:p + 1])[0].tolist() == [verdicts[p]]
+    # the regular matrix factors and solves byte for byte as a stack of one
+    alone = factor_stack(stack[:1], col_scale[:1])[1]
+    assert factored[0][0].tobytes() == alone[0][0].tobytes()
+    assert factored[1][0].tobytes() == alone[1][0].tobytes()
+    b = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    x = lu_solve_factored(factored, b)
+    assert x[0].tobytes() == lu_solve_factored(alone, b[:1])[0].tobytes()
+    assert x[0].tobytes() == lu_solve_factored(lu_factor(regular, col_scale=z), b[0]).tobytes()
+    # the column-scaled one solves its system
+    assert np.allclose(x[3] / np.abs(z), np.linalg.solve(_CRAWLER_SCALED, b[3]),
+                       rtol=1e-12, atol=0)
+    for A in (zero_row, singular):
+        with pytest.raises(SingularMatrixError):
+            lu_factor(A, col_scale=z)

@@ -1,9 +1,9 @@
 """Smoke runs of scripts/path_ledger.py: criterion 1's real witness set at
-seed 7 tracks 30 paths, all of H2 (the sextic is a hypersurface, so its
-witness slice, its H1 slices and the square stage are solved on lines), and
-criterion 4's 20 critical solves at seed 100 track 94, one ``LPHResult``
-line each.  Its ``--compare`` mode fails on a moved point and on a path
-that ends differently."""
+seed 7 tracks 30 paths in one stage, all of H2 (the sextic is a
+hypersurface, so its witness slice, its H1 slices and the square stage are
+solved on lines), and criterion 4's 20 critical solves at seed 100 track
+94, one ``LPHResult`` line each.  Its ``--compare`` mode fails on a moved
+point and on a path that ends differently."""
 
 import copy
 import json
@@ -26,17 +26,25 @@ def _ledger(workload, seed):
     assert all(len(p) == 6 for p in paths)
     ops = [ln for ln in lines if ln.startswith("op ")]
     assert all(" ok=True " in op for op in ops)
-    return paths, ops
+    # a stage line closes each stage's path lines: paths=P steps=S longest=L
+    stages = [dict(field.split("=") for field in ln.split()[1:])
+              for ln in lines if ln.startswith("stage ")]
+    assert sum(int(st["paths"]) for st in stages) == len(paths)
+    assert sum(int(st["steps"]) for st in stages) == sum(int(p[3]) for p in paths)
+    return paths, ops, stages
 
 
 def test_path_ledger_sextic_witness():
-    paths, ops = _ledger("sextic_witness", 7)
+    paths, ops, stages = _ledger("sextic_witness", 7)
     assert len(paths) == 30
     assert len(ops) == 1
+    # the 30 H2 paths are one stage, as long as its longest path
+    assert [st["paths"] for st in stages] == ["30"]
+    assert int(stages[0]["longest"]) == max(int(p[3]) for p in paths)
 
 
 def test_path_ledger_random_batch():
-    paths, ops = _ledger("random_batch", 100)
+    paths, ops, stages = _ledger("random_batch", 100)
     assert len(paths) == 94
     assert len(ops) == 20
     assert all(" D=" in op and " solutions=" in op for op in ops)

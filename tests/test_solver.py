@@ -21,7 +21,7 @@ from lph.solver import (
     root_bound,
 )
 from lph.start_systems import random_slice, solve_square, witness_points
-from lph.tracker import START_REJECTED
+from lph.tracker import START_REJECTED, track_stage
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -242,23 +242,15 @@ def test_lph_solve_solutions_satisfy_original_system():
         assert F.residual(s) < 1e-6
 
 
-def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
+def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(tracked_paths):
     # criterion 2's problem: two H2 paths go to infinity.  They must leave
     # through the divergence norm, not crawl near the minimum step because
     # the pivot rule calls their Jacobian singular.
-    h2 = []
-    original = lph.start_systems.track_path
-
-    def recording(H, z0):
-        res = original(H, z0)
-        if H.n_vars == 3:  # (x, y, lambda): H2; H1 tracks (x, y)
-            h2.append(res)
-        return res
-
-    monkeypatch.setattr(lph.start_systems, "track_path", recording)
     f = PolySystem(2, [parse_poly(SEXTIC, XY)])
     p = LPHProblem(f, jacobian_transpose(f), np.array([0.874645, 1.0351], dtype=complex))
     res = lph_solve(p, rng=np.random.default_rng(7))
+    # (x, y, lambda): H2; H1 would track (x, y)
+    h2 = [r for H, _, r in tracked_paths if H.n_vars == 3]
     assert (res.converged, res.divergent, res.failed) == (6, 2, 22)
     assert len(h2) == 30
     divergent = [r for r in h2 if r.status == "Divergent"]
@@ -267,6 +259,62 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(monkeypatch):
         assert r.reason == "norm-exceeded"
         assert r.steps_taken < 1000
     assert sum(r.steps_taken for r in h2) < 4000
+
+
+def _path_bytes(res):
+    """Every field of a PathResult, floats and the endpoint as bytes."""
+    end = None if res.endpoint is None else res.endpoint.tobytes()
+    return (res.status, res.reason, res.steps_taken, float(res.t_reached).hex(),
+            float(res.residual).hex(), end)
+
+
+def _assert_batch_invariant(stages):
+    """Each stage (pair, starts, results) tracked again together, in
+    reverse order, and each start alone give its results byte for byte."""
+    for H, starts, results in stages:
+        expected = [_path_bytes(r) for r in results]
+        assert [_path_bytes(r) for r in track_stage(H, starts)] == expected
+        assert [_path_bytes(r) for r in track_stage(H, starts[::-1])] == expected[::-1]
+        assert [_path_bytes(track_stage(H, [z0])[0]) for z0 in starts] == expected
+
+
+def _stages(tracked_paths):
+    """The recorded paths grouped back into their stages."""
+    stages = []
+    for H, z0, res in tracked_paths:
+        if not stages or stages[-1][0] is not H:
+            stages.append((H, [], []))
+        stages[-1][1].append(z0)
+        stages[-1][2].append(res)
+    return stages
+
+
+def test_sextic_h2_stage_is_batch_invariant(tracked_paths):
+    # criterion 2's H2 stage: 30 paths ending Converged, Divergent and
+    # Failed, each with the bytes it gets tracked alone or in another order
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    p = LPHProblem(f, jacobian_transpose(f), np.array([0.874645, 1.0351], dtype=complex))
+    lph_solve(p, rng=np.random.default_rng(7))
+    stages = _stages(tracked_paths)
+    assert [len(starts) for _, starts, _ in stages] == [30]
+    assert {r.status for r in stages[0][2]} == {"Converged", "Divergent", "Failed"}
+    _assert_batch_invariant(stages)
+
+
+def test_k2_random_batch_stages_are_batch_invariant(tracked_paths):
+    # criterion 4's system 1 (n = 3, k = 2) at its solver seed: three H1
+    # slice moves of 4 paths and an H2 stage of 8
+    rng = np.random.default_rng(1001)
+    n = int(rng.integers(2, 4))
+    k = int(rng.integers(1, n))
+    exps = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
+    f = PolySystem(n, [MultiPoly(n, [(e, rng.normal()) for e in exps]) for _ in range(k)])
+    p = LPHProblem(f, jacobian_transpose(f), rng.normal(size=n) + 0j)
+    lph_solve(p, rng=np.random.default_rng(2001))
+    stages = _stages(tracked_paths)
+    assert (n, k) == (3, 2)
+    assert [len(starts) for _, starts, _ in stages] == [4, 4, 4, 8]
+    _assert_batch_invariant(stages)
 
 
 def test_h1_track_compiles_one_evaluator(monkeypatch):
@@ -437,23 +485,15 @@ def test_critical_point_on_coordinate_hyperplane_is_found(seed):
     assert any(np.abs(s - np.array([0.0, 0.7, 1.0])).max() < 1e-6 for s in res.solutions)
 
 
-def test_zero_jacobian_row_tracks_no_critical_path(monkeypatch):
+def test_zero_jacobian_row_tracks_no_critical_path(tracked_paths):
     # stage 0 of real_witness_set on two disjoint cylinders in R^3: the z
     # row of J is identically zero, so its equation reads 0 = beta_z and the
     # critical system has no solution
-    tracked = []
-    original = lph.start_systems.track_path
-
-    def recording(H, z0):
-        tracked.append(H)
-        return original(H, z0)
-
-    monkeypatch.setattr(lph.start_systems, "track_path", recording)
     f = parse("(x^2 + y^2 - 1)*((x - 3)^2 + y^2 - 1)", XYZ)
     p = LPHProblem(f, jacobian_transpose(f), np.array([0.8, -1.1, 0.6], dtype=complex))
     res = lph_solve(p, rng=np.random.default_rng(0))
     # only the witness stage runs, and on a line: the quartic meets a random
     # line 4 times, and no path is tracked
-    assert tracked == []
+    assert tracked_paths == []
     assert res.D == len(res.witness_M) == 4
     assert (res.solutions, res.omega_count, res.warnings) == ([], 0, [])

@@ -15,7 +15,6 @@ from lph.start_systems import (
     refine_on,
     solve_square,
     total_degree_start,
-    track_stage,
     unit_complex,
     witness_points,
 )
@@ -134,26 +133,18 @@ def test_refine_on_keeps_a_real_start_exactly_real():
     0.0,   # x^2 - 1 reads -1 there, and its Jacobian is singular
     1e6,   # far from both roots of x^2 - 1
 ], ids=["singular", "far"])
-def test_track_stage_records_a_start_the_start_test_rejects(monkeypatch, start):
-    # every start reaches track_path as given, which records the one its
-    # start test rejects (not a root of the start system) and returns it
+def test_track_stage_records_a_start_the_start_test_rejects(tracked_paths, start):
+    # every start reaches the stage loop as given; its start test rejects
+    # the one that is not a root of the start system, which the stage
+    # records and returns, and the other start is tracked
     start_system, target = parse("x^2 - 1", ["x"]), parse("x^2 - 4", ["x"])
     H = HomotopyPair(start_system, target, 0.6 + 0.8j)
-    tracked, returned = [], []
-    original = lph.start_systems.track_path
-
-    def recording(H, z0):
-        tracked.append(z0)
-        returned.append(original(H, z0))
-        return returned[-1]
-
-    monkeypatch.setattr(lph.start_systems, "track_path", recording)
     starts = [np.array([start + 0j]), np.array([1.0 + 0j])]
-    rejected, res = track_stage(H, starts)
+    rejected, res = lph.start_systems.track_stage(H, starts)
     assert rejected == lph.tracker.PathResult(FAILED, None, 0.0, float("inf"), 0,
                                               START_REJECTED)
-    assert [z[0] for z in tracked] == [start, 1.0]
-    assert returned == [rejected, res]
+    assert [z[0] for _, z, _ in tracked_paths] == [start, 1.0]
+    assert [r for _, _, r in tracked_paths] == [rejected, res]
     assert res.status == CONVERGED
     assert abs(abs(res.endpoint[0]) - 2.0) < 1e-12
 
@@ -240,40 +231,37 @@ def _same_points(a, b, tol=1e-8):
             and all(any(near(y, x) for x in a) for y in b))
 
 
-def _both_routes(monkeypatch, call, seed):
+def _both_routes(tracked_paths, monkeypatch, call, seed):
     """call(rng) on the line route, then with line_points returning None,
     each with rng seeded by seed: (line result, tracked result, paths the
     line route tracked, whether both left their rng in the same state)."""
-    tracked = []
-    original = lph.start_systems.track_path
-
-    def recording(H, z0):
-        tracked.append(z0)
-        return original(H, z0)
-
-    with monkeypatch.context() as m:
-        m.setattr(lph.start_systems, "track_path", recording)
-        rng_line = np.random.default_rng(seed)
-        line = call(rng_line)
+    before = len(tracked_paths)
+    rng_line = np.random.default_rng(seed)
+    line = call(rng_line)
+    n_tracked = len(tracked_paths) - before
     with monkeypatch.context() as m:
         m.setattr(lph.start_systems, "line_points", lambda F: None)
         rng_tracked = np.random.default_rng(seed)
         by_paths = call(rng_tracked)
     same_rng = rng_line.bit_generator.state == rng_tracked.bit_generator.state
-    return line, by_paths, len(tracked), same_rng
+    return line, by_paths, n_tracked, same_rng
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_line_points_match_the_tracked_route_on_sextic_slices(monkeypatch, seed):
+def test_line_points_match_the_tracked_route_on_sextic_slices(tracked_paths, monkeypatch,
+                                                             seed):
     f = PolySystem(2, [parse_poly(SEXTIC, XY)])
     line, by_paths, n_tracked, same_rng = _both_routes(
-        monkeypatch, lambda rng: witness_points(f, rng)[0], seed)
+        tracked_paths, monkeypatch, lambda rng: witness_points(f, rng)[0], seed)
     assert n_tracked == 0 and len(line) == 6
+    # the route without line_points tracks the 6 total-degree paths
+    assert len(tracked_paths) == 6
     assert _same_points(line, by_paths)
     assert same_rng
 
 
-def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(monkeypatch):
+def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(tracked_paths,
+                                                                          monkeypatch):
     # criterion 4's systems, drawn in its order (seed 1000 + i), and the
     # witness stage of each k = 1 one at its solver seed 2000 + i
     hypersurfaces = 0
@@ -288,14 +276,16 @@ def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(monke
             continue
         hypersurfaces += 1
         line, by_paths, n_tracked, same_rng = _both_routes(
-            monkeypatch, lambda rng: witness_points(f, rng)[0], 2000 + i)
+            tracked_paths, monkeypatch, lambda rng: witness_points(f, rng)[0], 2000 + i)
         assert n_tracked == 0 and len(line) == 2, i
         assert _same_points(line, by_paths), i
         assert same_rng, i
     assert hypersurfaces == 17
+    # the route without line_points tracks 2 total-degree paths per system
+    assert len(tracked_paths) == 2 * 17
 
 
-def test_non_reduced_hypersurface_falls_back_to_tracking(monkeypatch):
+def test_non_reduced_hypersurface_falls_back_to_tracking(tracked_paths, monkeypatch):
     # every root of (x^2 + y^2 - 1)^2 on a line is double: refine_on accepts
     # all four near-double roots, but they are 2 distinct points against
     # the degree 4, so line_points declines and solve_square returns exactly
@@ -303,7 +293,7 @@ def test_non_reduced_hypersurface_falls_back_to_tracking(monkeypatch):
     F = parse("(x^2 + y^2 - 1)^2\n0.3*x - 0.7*y + 0.2", XY)
     assert line_points(F) is None
     line, by_paths, n_tracked, same_rng = _both_routes(
-        monkeypatch, lambda rng: solve_square(F, rng), 0)
+        tracked_paths, monkeypatch, lambda rng: solve_square(F, rng), 0)
     assert n_tracked == 4
     assert len(line) == len(by_paths)
     assert all(np.array_equal(x, y) for x, y in zip(line, by_paths))

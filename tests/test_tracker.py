@@ -16,6 +16,7 @@ from lph.tracker import (
     newton_correct,
     residual_within,
     track_path,
+    track_stage,
 )
 
 X = ["x"]
@@ -56,18 +57,23 @@ def test_pair_matches_direct_evaluation():
     F = parse("x^3 - y^2 + x\nx*y^2 + 1", XY)
     gamma = 0.6 - 0.8j
     rng = np.random.default_rng(5)
+    T = np.array([0.0, 0.3, 1.0])
     for start, target in ((G, F), (F, F)):
         H = HomotopyPair(start, target, gamma)
-        for t in (0.0, 0.3, 1.0):
-            z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        Z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        h_dz, scale, values = H.evaluate(Z, H.weights(T))
+        for p, (z, t) in enumerate(zip(Z, T)):
             g, f = start.evaluate(z), target.evaluate(z)
-            assert np.allclose(H.eval_h(z, t), (1 - t) * g + gamma * t * f)
-            assert np.allclose(H.eval_dh_dz(z, t),
-                               (1 - t) * _jacobian(start, z) + gamma * t * _jacobian(target, z))
-            assert np.allclose(H.eval_dh_dt(z), gamma * f - g)
-            assert np.allclose(H.target_values(z), f)
+            dh_dz = (1 - t) * _jacobian(start, z) + gamma * t * _jacobian(target, z)
             mg, mf = _magnitudes(start, z).max(), _magnitudes(target, z).max()
+            assert np.allclose(H.eval_h(z, t), (1 - t) * g + gamma * t * f)
+            assert np.allclose(h_dz[p, :, 0], (1 - t) * g + gamma * t * f)
+            assert np.allclose(H.eval_dh_dz(z, t), dh_dz)
+            assert np.allclose(h_dz[p, :, 1:], dh_dz)
+            assert np.allclose(H.dh_dt(values)[p], gamma * f - g)
+            assert np.allclose(H.target_values(z), f)
             assert H.scale(z, t) == pytest.approx((1 - t) * mg + abs(gamma) * t * mf)
+            assert scale[p] == pytest.approx((1 - t) * mg + abs(gamma) * t * mf)
             assert H.target_magnitude(z) == pytest.approx(mf)
 
 
@@ -229,6 +235,25 @@ def test_path_result_does_not_depend_on_earlier_paths():
     assert alone.status == again.status == CONVERGED
     assert alone.steps_taken == again.steps_taken
     assert alone.endpoint.tobytes() == again.endpoint.tobytes()
+
+
+def test_track_path_is_the_stage_of_one_start():
+    # one path of each end: Converged, Divergent, Failed (min-step) and a
+    # rejected start
+    cases = [("x^2 - 1", "x^2 - 4", 0.6 + 0.8j, 1.0), ("x^2 - 1", "x", 0.6 + 0.8j, -1.0),
+             ("x^2 - 1", "x^2 - 4", -1.0, 1.0), ("x^2 - 1", "x^2 - 4", 1.0, 5.0)]
+    reasons = []
+    for start, target, gamma, z0 in cases:
+        H = _pair(start, target, X, gamma=gamma)
+        alone, staged = track_path(H, np.array([z0 + 0j])), track_stage(H, [np.array([z0 + 0j])])
+        assert len(staged) == 1
+        for field in ("status", "reason", "steps_taken", "t_reached", "residual"):
+            assert getattr(alone, field) == getattr(staged[0], field)
+        assert (alone.endpoint is None) == (staged[0].endpoint is None)
+        if alone.endpoint is not None:
+            assert alone.endpoint.tobytes() == staged[0].endpoint.tobytes()
+        reasons.append(alone.reason)
+    assert reasons == ["converged", "norm-exceeded", "min-step", START_REJECTED]
 
 
 def test_residual_within_scales_by_magnitude_above_one():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import lph.solver
-import lph.start_systems
 from lph.linalg import SingularMatrixError
 from lph.poly import parse, parse_poly, PolySystem
 from lph.start_systems import witness_points
@@ -179,18 +178,15 @@ def test_real_witness_set_surface_has_a_point_on_every_component(factors, seed):
                    for wp in rws.points), q
 
 
-def test_surface_stage_one_takes_the_line_route_in_its_witness_stage(monkeypatch):
+def test_surface_stage_one_takes_the_line_route_in_its_witness_stage(tracked_paths):
     # stage 1 of real_witness_set on a cubic surface in R^3: {f, hyperplane}
     # and one slice hyperplane leave one nonlinear row, so the witness
     # points are the cubic's 3 roots on a line, and no path is tracked
-    tracked = []
-    monkeypatch.setattr(lph.start_systems, "track_path",
-                        lambda H, z0: tracked.append(z0))
     xyz = ["x", "y", "z"]
     f = PolySystem(3, [parse_poly("x^3 + y^2*z - x*z + y - 1", xyz)])
     cur = augment(f, [0.9, -1.2, 0.7], 0.4)
     M, L = witness_points(cur, np.random.default_rng(0))
-    assert tracked == []
+    assert tracked_paths == []
     assert len(M) == 3
     for x in M:
         assert cur.residual(x) < 1e-12
