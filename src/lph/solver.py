@@ -6,7 +6,10 @@ affine-linear x-factors and one linear lambda-factor, start points are
 enumerated combinatorially from witness points of V(f), and two linear
 homotopies (x-space slice moves, then G -> F) carry them to the target.
 For a hypersurface (k = 1) each slice is a line, and the witness points on
-it come from ``line_points`` with no slice move tracked.
+it come from ``line_points`` with no slice move tracked.  When J is affine
+too (d = 1), the critical points themselves lie on a line
+(``critical_points_on_a_line``): no slice move, back-solve or H2 runs
+unless that route declines.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .start_systems import (
     DEDUP_TOL,
     dedup_points,
     line_points,
+    refine_on,
     unit_complex,
     witness_points,
 )
@@ -238,8 +242,42 @@ def backsolve_lambda(x_star: np.ndarray, G: LinearProductG, rows) -> np.ndarray:
     return lu_solve(A, rhs)
 
 
+def critical_points_on_a_line(np_: NormalizedProblem,
+                              target: PolySystem) -> Optional[List[np.ndarray]]:
+    """The roots of the normalized target when k = 1 and d = 1: its last
+    row makes lambda nonzero, so J'_i(x) = 0 for i < n, n - 1 affine rows
+    that cut out a line.  ``line_points`` solves {f, J'_1, ..., J'_(n-1)},
+    lambda = 1 / J'_n(x), and each (x, lambda) is accepted only through
+    ``refine_on``.  None when a step declines."""
+    f, J_prime = np_.original.f, np_.J_prime
+    points = line_points(PolySystem(f.n_vars, f.polys + [row[0] for row in J_prime[:-1]]))
+    if points is None:
+        return None
+    R = HomotopyPair(target, target, 1.0)
+    out = []
+    for x in points:
+        g_n = J_prime[-1][0].evaluate(x)
+        z = None if g_n == 0 else refine_on(R, np.append(x, 1.0 / g_n))
+        if z is None:
+            return None
+        out.append(z)
+    return out
+
+
+def _sorted(points: List[np.ndarray]) -> List[np.ndarray]:
+    """Points sorted on the DEDUP_TOL grid: parts equal up to round-off (the
+    real parts of a conjugate pair) compare equal and the next part decides."""
+    return sorted(points, key=lambda z: tuple(round(v / DEDUP_TOL)
+                                              for c in z for v in (c.real, c.imag)))
+
+
 @dataclass
 class LPHResult:
+    """The solutions and the path counts of one solve: converged, divergent
+    and failed partition H2's omega_count paths.  When the critical points
+    come from a line, omega_count is D, converged counts the accepted
+    points and no path diverges or fails."""
+
     solutions: List[np.ndarray]
     D: int
     omega_count: int
@@ -254,10 +292,12 @@ class LPHResult:
 def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHResult:
     """All isolated solutions of {f, J * lambda - beta} via the
     linear-product start system (witness slice -> slice moves -> lambda
-    back-solve -> final homotopy to the target).  A constant J (d = 0) has
-    none: lambda decouples from x, which ranges over V(f) of dimension
-    n - k >= 1 when J * lambda = beta is solvable.  That route returns right
-    after the witness stage, with D and the bound 0."""
+    back-solve -> final homotopy to the target).  A hypersurface with an
+    affine J (k = 1, d = 1) takes its solutions from a line after the
+    witness stage, and tracks only when that declines.  A constant J
+    (d = 0) has none: lambda decouples from x, which ranges over V(f) of
+    dimension n - k >= 1 when J * lambda = beta is solvable.  That route
+    returns right after the witness stage, with D and the bound 0."""
     rng = rng if rng is not None else np.random.default_rng(0)
     n, k, d = p.n, p.k, p.d
     warnings: List[str] = []
@@ -274,6 +314,11 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
     # 0 = beta_i: the system has no solution, so no path is tracked
     if any(b != 0 and all(entry.is_zero for entry in row) for row, b in zip(p.J, p.beta)):
         return LPHResult([], D, 0, root_bound(n, k, d, D), 0, 0, 0, witness_M=M)
+    if k == 1 and d == 1:
+        points = critical_points_on_a_line(np_, target)
+        if points is not None:
+            return LPHResult(_sorted(points), D, D, root_bound(n, k, d, D), len(points),
+                             0, 0, witness_M=M)
 
     omega: List[np.ndarray] = []
     for rows, picks in enumerate_choices(n, k, d):
@@ -299,13 +344,8 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
         counts[res.status] += 1
         if res.status == CONVERGED:
             endpoints.append(res.endpoint)
-    solutions = dedup_points(endpoints)
-    # sorted on the DEDUP_TOL grid: parts equal up to round-off (the real
-    # parts of a conjugate pair) compare equal and the next part decides
-    solutions.sort(key=lambda z: tuple(round(v / DEDUP_TOL)
-                                       for c in z for v in (c.real, c.imag)))
     return LPHResult(
-        solutions,
+        _sorted(dedup_points(endpoints)),
         D,
         len(omega),
         root_bound(n, k, d, D),

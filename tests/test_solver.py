@@ -20,7 +20,7 @@ from lph.solver import (
     normalize,
     root_bound,
 )
-from lph.start_systems import random_slice, solve_square, witness_points
+from lph.start_systems import line_points, random_slice, solve_square, witness_points
 from lph.tracker import START_REJECTED, track_stage
 
 XY = ["x", "y"]
@@ -497,3 +497,20 @@ def test_zero_jacobian_row_tracks_no_critical_path(tracked_paths):
     assert tracked_paths == []
     assert res.D == len(res.witness_M) == 4
     assert (res.solutions, res.omega_count, res.warnings) == ([], 0, [])
+
+
+def test_parabola_critical_point_falls_back_to_tracking(tracked_paths):
+    # the parabola's Jacobian is affine (d = 1), but its critical line
+    # {J'_1 = 0} is parallel to the y axis, on which y - x^2 has degree 1:
+    # line_points declines, and lph_solve tracks its 2 H2 paths (its H1
+    # slice move is solved on a line) to the one critical point
+    f = PolySystem(2, [parse_poly("y - x^2", XY)])
+    p = LPHProblem(f, jacobian_transpose(f), np.array([0.6, 0.8], dtype=complex))
+    J_prime = normalize(p).J_prime
+    assert line_points(PolySystem(2, [f.polys[0], J_prime[0][0]])) is None
+    res = lph_solve(p, rng=np.random.default_rng(0))
+    assert [H.n_vars for H, _, _ in tracked_paths] == [3, 3]
+    assert (res.omega_count, res.converged, res.divergent, res.failed) == (2, 1, 1, 0)
+    direct = solve_square(p.full_system(), rng=np.random.default_rng(1))
+    assert len(res.solutions) == len(direct) == 1
+    assert np.abs(res.solutions[0] - direct[0]).max() < 1e-8

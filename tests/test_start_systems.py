@@ -4,9 +4,11 @@ import itertools
 import numpy as np
 import pytest
 
+import lph.solver
 import lph.start_systems
 import lph.tracker
-from lph.poly import MultiPoly, parse, parse_poly, PolySystem
+from lph.poly import MultiPoly, parse, parse_poly, PolySystem, jacobian_transpose
+from lph.solver import LPHProblem, lph_solve
 from lph.start_systems import (
     ZeroPolynomialError,
     dedup_points,
@@ -231,16 +233,17 @@ def _same_points(a, b, tol=1e-8):
             and all(any(near(y, x) for x in a) for y in b))
 
 
-def _both_routes(tracked_paths, monkeypatch, call, seed):
-    """call(rng) on the line route, then with line_points returning None,
-    each with rng seeded by seed: (line result, tracked result, paths the
-    line route tracked, whether both left their rng in the same state)."""
+def _both_routes(tracked_paths, monkeypatch, call, seed, module=lph.start_systems):
+    """call(rng) on the line route, then with module's line_points returning
+    None, each with rng seeded by seed: (line result, tracked result, paths
+    the line route tracked, whether both left their rng in the same
+    state)."""
     before = len(tracked_paths)
     rng_line = np.random.default_rng(seed)
     line = call(rng_line)
     n_tracked = len(tracked_paths) - before
     with monkeypatch.context() as m:
-        m.setattr(lph.start_systems, "line_points", lambda F: None)
+        m.setattr(module, "line_points", lambda F: None)
         rng_tracked = np.random.default_rng(seed)
         by_paths = call(rng_tracked)
     same_rng = rng_line.bit_generator.state == rng_tracked.bit_generator.state
@@ -260,11 +263,9 @@ def test_line_points_match_the_tracked_route_on_sextic_slices(tracked_paths, mon
     assert same_rng
 
 
-def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(tracked_paths,
-                                                                          monkeypatch):
-    # criterion 4's systems, drawn in its order (seed 1000 + i), and the
-    # witness stage of each k = 1 one at its solver seed 2000 + i
-    hypersurfaces = 0
+def _random_batch_hypersurfaces():
+    """Criterion 4's critical problems with k = 1, drawn in its order
+    (system seed 1000 + i), as (i, problem): 17 dense quadrics."""
     for i in range(20):
         rng = np.random.default_rng(1000 + i)
         n = int(rng.integers(2, 4))
@@ -272,17 +273,51 @@ def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(track
         exps = [e for e in itertools.product(range(3), repeat=n) if sum(e) <= 2]
         f = PolySystem(n, [MultiPoly(n, [(e, rng.normal()) for e in exps])
                            for _ in range(k)])
-        if k != 1:
-            continue
+        p = LPHProblem(f, jacobian_transpose(f), rng.normal(size=n) + 0j)
+        if k == 1:
+            yield i, p
+
+
+def test_line_points_match_the_tracked_route_on_random_batch_hypersurfaces(tracked_paths,
+                                                                          monkeypatch):
+    # the witness stage of each of criterion 4's hypersurfaces at its solver
+    # seed 2000 + i
+    hypersurfaces = 0
+    for i, p in _random_batch_hypersurfaces():
         hypersurfaces += 1
         line, by_paths, n_tracked, same_rng = _both_routes(
-            tracked_paths, monkeypatch, lambda rng: witness_points(f, rng)[0], 2000 + i)
+            tracked_paths, monkeypatch, lambda rng: witness_points(p.f, rng)[0], 2000 + i)
         assert n_tracked == 0 and len(line) == 2, i
         assert _same_points(line, by_paths), i
         assert same_rng, i
     assert hypersurfaces == 17
     # the route without line_points tracks 2 total-degree paths per system
     assert len(tracked_paths) == 2 * 17
+
+
+def _counts(res):
+    return res.D, res.omega_count, res.bound, res.converged, res.divergent, res.failed
+
+
+def test_quadric_critical_points_match_the_tracked_route_on_random_batch(tracked_paths,
+                                                                        monkeypatch):
+    # each of criterion 4's hypersurfaces at its solver seed 2000 + i: a
+    # quadric's Jacobian is affine (d = 1), so lph_solve takes its critical
+    # points from a line and tracks no path; with lph.solver's line_points
+    # returning None, it tracks H1 and H2
+    hypersurfaces = 0
+    for i, p in _random_batch_hypersurfaces():
+        hypersurfaces += 1
+        line, by_paths, n_tracked, same_rng = _both_routes(
+            tracked_paths, monkeypatch, lambda rng: lph_solve(p, rng), 2000 + i, lph.solver)
+        assert (p.d, n_tracked) == (1, 0), i
+        assert _same_points(line.solutions, by_paths.solutions), i
+        assert _counts(line) == _counts(by_paths), i
+        assert same_rng, i
+    assert hypersurfaces == 17
+    # the tracked route moves the 2 witness points to the product line (H1)
+    # and tracks them to the target (H2)
+    assert len(tracked_paths) == 4 * 17
 
 
 def test_non_reduced_hypersurface_falls_back_to_tracking(tracked_paths, monkeypatch):

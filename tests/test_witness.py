@@ -141,6 +141,22 @@ def test_real_witness_set_far_circle(seed):
         assert abs(np.hypot(x - 100.0, y) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_real_witness_set_of_the_circle_tracks_no_path(tracked_paths, monkeypatch, seed):
+    # the circle's witness slice, its critical points (its Jacobian is
+    # affine) and its square stage all come from lines; the points are the
+    # ones the tracked critical route keeps
+    rws = real_witness_set(_circle(), rng=np.random.default_rng(seed))
+    assert tracked_paths == []
+    monkeypatch.setattr(lph.solver, "line_points", lambda F: None)
+    tracked = real_witness_set(_circle(), rng=np.random.default_rng(seed))
+    assert tracked_paths
+    assert len(rws.points) == len(tracked.points) >= 2
+    for wp, wq in zip(rws.points, tracked.points):
+        assert wp.stage == wq.stage
+        assert np.abs(wp.point - wq.point).max() < 1e-8
+
+
 def test_real_witness_set_reproducible():
     a = real_witness_set(_circle(), rng=np.random.default_rng(7))
     b = real_witness_set(_circle(), rng=np.random.default_rng(7))
@@ -195,7 +211,8 @@ def test_surface_stage_one_takes_the_line_route_in_its_witness_stage(tracked_pat
 
 def test_real_witness_set_logs_each_solver_warning_once(monkeypatch, caplog):
     # lph_solve logs its warnings where they arise; real_witness_set does
-    # not log them again
+    # not log them again.  The cubic's Jacobian has degree 2, so its
+    # critical stage back-solves lambda (a quadric's comes from a line)
     original = lph.solver.backsolve_lambda
     calls = []
 
@@ -207,7 +224,8 @@ def test_real_witness_set_logs_each_solver_warning_once(monkeypatch, caplog):
 
     monkeypatch.setattr(lph.solver, "backsolve_lambda", singular_once)
     with caplog.at_level(logging.WARNING):
-        real_witness_set(_circle(), rng=np.random.default_rng(0))
+        real_witness_set(PolySystem(2, [parse_poly("y^2 - x^3 + 4*x + 1", XY)]),
+                         rng=np.random.default_rng(0))
     assert len(calls) > 1
     dropped = [r for r in caplog.records
                if "singular lambda back-solve" in r.getMessage()]
