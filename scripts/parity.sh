@@ -4,9 +4,9 @@
 #
 #     scripts/parity.sh REV
 #
-# It runs the ledger on sextic_witness seeds 1-10 (the benchmark's pair
-# seeds) and on random_batch seeds 100 and 1-3.  Per run it prints "same"
-# when the two plain ledgers are byte-identical, and the --compare verdict
+# It runs the ledger on the benchmark's pair seeds: sextic_witness seeds
+# 1-10 and random_batch seeds 100 and 1-10.  Per run it prints "same" when
+# the two plain ledgers are byte-identical, and the --compare verdict
 # otherwise.  It exits nonzero when a workload check fails on either side
 # or a compare fails.
 set -u
@@ -20,7 +20,7 @@ mkdir -p "$tmp/parent/scripts"
 cp "$root/scripts/path_ledger.py" "$tmp/parent/scripts/"
 
 status=0
-for run in sextic_witness:{1..10} random_batch:{100,1,2,3}; do
+for run in sextic_witness:{1..10} random_batch:{100,{1..10}}; do
     workload=${run%:*} seed=${run#*:}
     for side in parent change; do
         tree=$tmp/parent

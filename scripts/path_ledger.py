@@ -15,15 +15,20 @@ digits of the SHA-256 of a point's (or an output's points') bytes, ``-`` for
 a path without endpoint.
 
 A change that moves paths by design cannot keep the ledger byte-identical.
-``--json FILE`` also writes, per operation, its counts, its output points
-and the ``(status, reason, steps)`` of each path it tracked, and
+``--json FILE`` also writes, per operation, its counts, its output points,
+the ``(status, reason, steps)`` of each path it tracked and the
+``(paths, steps, longest)`` of each stage, and
 
     python3 scripts/path_ledger.py --compare PARENT.json CHANGE.json
 
 passes (exit 0) when every operation keeps its counts, its points match
 two-way within ``POINT_TOL`` relative to ``max(1, |point|)``, and the
-change's paths are a sub-multiset of the parent's: it may track fewer paths,
-but each one it tracks ends as one of the parent's did.
+change's paths, each judged by its ``(status, reason)``, are a sub-multiset
+of the parent's: it may track fewer paths, but each one it tracks ends as
+one of the parent's did.  Step counts are not judged, since a change to the
+predictor or the step control moves every one of them by design: an
+operation whose step total or stages' longest paths moved prints a
+``changed`` line, parent -> change.
 
 The workloads, their inputs, seeds and checks are those of
 ``perfbench/workloads.py``, which this script only imports.
@@ -105,10 +110,28 @@ def compare(parent: dict, change: dict) -> list:
         added = sum(not any(_near(y, x) for x in a) for y in b)
         if lost or added:
             problems.append(f"{label}: {lost} points lost, {added} points added")
-        extra = Counter(map(tuple, new["paths"])) - Counter(map(tuple, old["paths"]))
+        extra = _endings(new) - _endings(old)
         if extra:
             problems.append(f"{label}: paths not in the parent {sorted(extra.elements())}")
     return problems
+
+
+def _endings(op: dict) -> Counter:
+    """An operation's paths as a multiset of their (status, reason)."""
+    return Counter((status, reason) for status, reason, _ in op["paths"])
+
+
+def changes(parent: dict, change: dict) -> list:
+    """Per operation whose step total or stages' longest paths moved, one
+    line, parent -> change; these do not fail --compare."""
+    lines = []
+    for old, new in zip(parent["ops"], change["ops"]):
+        steps = [sum(p[2] for p in op["paths"]) for op in (old, new)]
+        longest = [[stage[2] for stage in op["stages"]] for op in (old, new)]
+        if steps[0] != steps[1] or longest[0] != longest[1]:
+            lines.append(f"changed {old['label']}: steps {steps[0]} -> {steps[1]}, "
+                         f"longest {longest[0]} -> {longest[1]}")
+    return lines
 
 
 def _totals(ledger: dict) -> str:
@@ -130,6 +153,8 @@ def main(argv=None) -> int:
         print(f"parent: {_totals(parent)}")
         print(f"change: {_totals(change)}")
         problems = compare(parent, change)
+        for line in changes(parent, change):
+            print(line)
         for line in problems:
             print(f"FAIL {line}")
         return 1 if problems else 0
@@ -140,6 +165,7 @@ def main(argv=None) -> int:
     # start_systems holds track_stage in this tree and in older ones
     original = lph.start_systems.track_stage
     op_paths: list = []
+    op_stages: list = []
 
     def ledger(H, starts):
         results = original(H, starts)
@@ -149,7 +175,8 @@ def main(argv=None) -> int:
             print(f"path {res.status} {res.reason} {res.steps_taken} {res.t_reached!r} "
                   f"{digest(end)}")
         steps = [res.steps_taken for res in results]
-        print(f"stage paths={len(steps)} steps={sum(steps)} longest={max(steps, default=0)}")
+        op_stages.append([len(steps), sum(steps), max(steps, default=0)])
+        print(f"stage paths={len(steps)} steps={sum(steps)} longest={op_stages[-1][2]}")
         return results
 
     # every module that imported track_stage by name holds its own binding
@@ -161,6 +188,7 @@ def main(argv=None) -> int:
     ops = []
     for op in operations(args.workload, seed, build_setup(args.workload, lph), lph):
         op_paths.clear()
+        op_stages.clear()
         out = op.call()
         outcome = op.check(out)
         ok = ok and outcome.ok
@@ -168,7 +196,7 @@ def main(argv=None) -> int:
         ops.append({"label": op.label, "ok": outcome.ok, "counts": counts(out),
                     "points": [[[c.real, c.imag] for c in np.asarray(z, dtype=complex)]
                                for z in points(out)],
-                    "paths": list(op_paths)})
+                    "paths": list(op_paths), "stages": list(op_stages)})
     if args.json:
         Path(args.json).write_text(json.dumps(
             {"workload": args.workload, "seed": seed, "ops": ops}) + "\n")

@@ -1,11 +1,14 @@
 """Predictor-corrector continuation of the paths of
 H(z, t) = (1 - t) * G(z) + gamma * t * F(z) from t = 0 to t = 1.
 
-The predictor is explicit Euler on the Davidenko ODE; the corrector is a
-full Newton iteration at fixed t.  A pair compiles one evaluator of the
-stacked system [G; F], so each point's values, Jacobians and magnitudes of
-both systems are one product each, and the tangent computed to check an
-accepted step is the next step's predictor.  Paths end in one of
+The predictor is the cubic Hermite extrapolation through a path's last two
+accepted points and their tangents on the Davidenko ODE (``hermite_predict``),
+explicit Euler for a path's first step, after a step that left no tangent
+and in the tail; the corrector is a full Newton iteration at fixed t.  A
+pair compiles one evaluator of the stacked system [G; F], so each point's
+values, Jacobians and magnitudes of both systems are one product each, and
+the tangent computed to check an accepted step is the next step's
+predictor, with no evaluation of its own.  Paths end in one of
 three states:
 Converged (finite endpoint, refined at t = 1), Divergent (left every
 bounded region), or Failed (tracking broke down at bounded norm).
@@ -344,11 +347,12 @@ def refine_endpoint(H: HomotopyPair, z, max_iters: int = NEWTON_ITERS,
 
 
 def _correct(H: HomotopyPair, Z: np.ndarray, T: np.ndarray, iters: np.ndarray,
-             active: np.ndarray):
+             active: np.ndarray, must_step: np.ndarray):
     """``newton_correct`` on the active rows of Z at once, row p at t = T[p]
     with a budget of iters[p] steps: a row drops out when its residual
-    passes, its budget runs out or its Jacobian is singular.  Every row is
-    evaluated and its Jacobian factored in each iteration, so the last
+    passes, its budget runs out or its Jacobian is singular.  A row of
+    must_step takes one Newton step before its residual may pass.  Every
+    row is evaluated and its Jacobian factored in each iteration, so the last
     iteration's factors are those at the corrected points, where the next
     tangents are taken.  Returns the corrected points, which rows passed,
     and the last iteration's Jacobian verdicts, factors and dH/dt."""
@@ -359,7 +363,8 @@ def _correct(H: HomotopyPair, Z: np.ndarray, T: np.ndarray, iters: np.ndarray,
     while True:
         h_dz, scale, values = H.evaluate(Z, weights)
         r = h_dz[:, :, 0]
-        within = residual_within(np.abs(r).max(axis=1), NEWTON_TOL, scale)
+        within = ((i > 0) | ~must_step) & residual_within(
+            np.abs(r).max(axis=1), NEWTON_TOL, scale)
         passed |= active & within
         regular, factored = factor_stack(h_dz[:, :, 1:], Z)
         active &= ~within & (iters > i) & regular
@@ -367,6 +372,22 @@ def _correct(H: HomotopyPair, Z: np.ndarray, T: np.ndarray, iters: np.ndarray,
             return Z, passed, regular, factored, H.dh_dt(values)
         np.subtract(Z, lu_solve_factored(factored, r), out=Z, where=active[:, None])
         i += 1
+
+
+def hermite_predict(Z: np.ndarray, T: np.ndarray, DZ: np.ndarray, Zp: np.ndarray,
+                    Tp: np.ndarray, DZp: np.ndarray, has_prev: np.ndarray,
+                    h: np.ndarray) -> np.ndarray:
+    """Per row, the prediction of z(T + h) from the cubic through
+    (Tp, Zp) and (T, Z) with tangents DZp and DZ: with d = T - Tp and
+    r = h / d, it is Euler's Z + h DZ plus
+    r^2 ((3 + 2r) (Zp - Z + d DZ) + (1 + r) d (DZp - DZ)).  A row without
+    has_prev gets Euler's alone."""
+    Z_pred = Z + h[:, None] * DZ
+    d = np.where(has_prev, T - Tp, 1.0)[:, None]
+    r = h[:, None] / d
+    cubic = r * r * ((3 + 2 * r) * (Zp - Z + d * DZ) + (1 + r) * d * (DZp - DZ))
+    np.add(Z_pred, cubic, out=Z_pred, where=has_prev[:, None])
+    return Z_pred
 
 
 def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
@@ -391,6 +412,8 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
     # and the tangent at (z, t) where has_dz.  The tangent is kept through
     # a rejected step, where neither moves, and taken over from the angle
     # check of an accepted step, which computed it at the new (z, t).
+    # Where has_prev, (Zp, Tp, DZp) is the point, t and tangent before the
+    # last accepted, angle-checked step, the predictor's second node.
     # Every live path has taken the same number of steps.
     index = np.flatnonzero(started)
     Z = Z[started]
@@ -400,6 +423,8 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
     accepted = np.zeros(len(Z), dtype=bool)
     DZ = np.zeros_like(Z)
     has_dz = np.zeros(len(Z), dtype=bool)
+    Zp, Tp, DZp = np.zeros_like(Z), np.zeros(len(Z)), np.zeros_like(Z)
+    has_prev = np.zeros(len(Z), dtype=bool)
     steps = 0
     while True:
         # the exits of the last step; a path leaves the live set when it ends
@@ -412,8 +437,9 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
                 results[index[p]] = _end(H, Z[p], float(T[p]), steps, accepted[p],
                                          norm[p], step[p], DZ[p] if has_dz[p] else None)
             live = ~ended
-            index, Z, T, step, successes, accepted, DZ, has_dz, norm = (
-                a[live] for a in (index, Z, T, step, successes, accepted, DZ, has_dz, norm))
+            (index, Z, T, step, successes, accepted, DZ, has_dz, Zp, Tp, DZp, has_prev,
+             norm) = (a[live] for a in (index, Z, T, step, successes, accepted, DZ, has_dz,
+                                        Zp, Tp, DZp, has_prev, norm))
         if not index.size:
             return results
 
@@ -435,10 +461,21 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
             DZ[rows] = np.where(regular[:, None],
                                 lu_solve_factored(factored, -H.dh_dt(values)), 0.0)
             has_dz[rows] = regular
-        Z_pred = Z + h[:, None] * DZ
+        # Before the tail, the prediction is the cubic through the last two
+        # accepted points, and the corrector takes at least one Newton step:
+        # far from the origin the magnitude-scaled residual test can pass a
+        # prediction that is off the path, whose next step then fails the
+        # pull-back check, so the step size would cycle instead of growing.
+        # The tail, whose steps its distance caps, keeps Euler and may pass
+        # a prediction as it stands: a path heading to infinity too slowly
+        # to pass DIVERGENCE_NORM reaches T_TAIL there and is rejected at
+        # refinement, and a forced step or a cubic would send some such
+        # paths out by the norm or the minimum step instead.
+        ahead = T < T_END
+        Z_pred = hermite_predict(Z, T, DZ, Zp, Tp, DZp, has_prev & ahead, h)
         T_new = T + h
         Z_new, ok, regular, factored, dh_dt = _correct(
-            H, Z_pred, T_new, np.where(tight, STEP_ITERS, NEWTON_ITERS), has_dz.copy())
+            H, Z_pred, T_new, np.where(tight, STEP_ITERS, NEWTON_ITERS), has_dz.copy(), ahead)
         # corrector success also requires the correction to stay small
         # against the predicted move; a large pull-back means the iteration
         # latched onto a different path
@@ -453,10 +490,17 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
         ok &= ~checked | (regular & (_cos_angles(DZ, dz_next) >= 0.5))
 
         steps += 1
+        # an accepted, angle-checked step makes the point it left the
+        # predictor's second node; an accepted step without an angle check
+        # leaves no tangent, and its next step is Euler's
+        moved = ok & checked
+        np.copyto(Zp, Z, where=moved[:, None])
+        np.copyto(Tp, T, where=moved)
+        np.copyto(DZp, DZ, where=moved[:, None])
+        np.copyto(has_prev, checked, where=ok)
         np.copyto(Z, Z_new, where=ok[:, None])
         np.copyto(T, T_new, where=ok)
-        # an accepted step without an angle check leaves no tangent
-        np.copyto(DZ, dz_next, where=(ok & checked)[:, None])
+        np.copyto(DZ, dz_next, where=moved[:, None])
         np.copyto(has_dz, checked, where=ok)
         successes = (successes + 1) * ok
         grown = successes >= 3

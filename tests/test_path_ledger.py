@@ -4,8 +4,8 @@ hypersurface, so its witness slice, its H1 slices and the square stage are
 solved on lines), and criterion 4's 20 critical solves at seed 100 track
 60, one ``LPHResult`` line each (its 17 hypersurfaces have an affine
 Jacobian, so their critical points come from a line too).  Its
-``--compare`` mode fails on a moved point and on a path that ends
-differently."""
+``--compare`` mode fails on a moved or lost point and on a path that ends
+with another status or reason, and prints moved step counts as changed."""
 
 import copy
 import json
@@ -63,6 +63,7 @@ PARENT = {
         "points": [[[1.5, 0.0], [-2.0, 0.25]]],
         "paths": [["Converged", "converged", 40], ["Divergent", "norm-exceeded", 90],
                   ["Converged", "converged", 40]],
+        "stages": [[3, 170, 90]],
     }],
 }
 
@@ -84,9 +85,41 @@ def test_path_ledger_compare_passes_fewer_paths_and_round_off(tmp_path):
     op = change["ops"][0]
     op["points"][0][1][0] += 1e-13
     op["paths"] = [["Converged", "converged", 40]]
+    op["stages"] = [[1, 40, 40]]
     code, out = _compare(tmp_path, change)
     assert code == 0, out
-    assert out.splitlines() == ["parent: 3 paths, 170 steps", "change: 1 paths, 40 steps"]
+    assert out.splitlines() == ["parent: 3 paths, 170 steps", "change: 1 paths, 40 steps",
+                                "changed lph_solve[0]: steps 170 -> 40, longest [90] -> [40]"]
+
+
+def test_path_ledger_compare_passes_a_change_in_steps_alone(tmp_path):
+    # a new predictor moves every step count: each path keeps its
+    # (status, reason), and the steps print as changed
+    change = copy.deepcopy(PARENT)
+    op = change["ops"][0]
+    op["paths"] = [["Converged", "converged", 25], ["Divergent", "norm-exceeded", 51],
+                   ["Converged", "converged", 19]]
+    op["stages"] = [[3, 95, 51]]
+    code, out = _compare(tmp_path, change)
+    assert code == 0, out
+    assert "changed lph_solve[0]: steps 170 -> 95, longest [90] -> [51]" in out
+    assert "FAIL" not in out
+
+
+def test_path_ledger_compare_fails_on_a_path_whose_reason_changed(tmp_path):
+    change = copy.deepcopy(PARENT)
+    change["ops"][0]["paths"][1] = ["Divergent", "min-step", 90]
+    code, out = _compare(tmp_path, change)
+    assert code == 1
+    assert "paths not in the parent [('Divergent', 'min-step')]" in out
+
+
+def test_path_ledger_compare_fails_on_a_lost_point(tmp_path):
+    change = copy.deepcopy(PARENT)
+    change["ops"][0]["points"] = []
+    code, out = _compare(tmp_path, change)
+    assert code == 1
+    assert "lph_solve[0]: 1 points lost, 0 points added" in out
 
 
 def test_path_ledger_compare_fails_on_a_point_moved_by_1e_6(tmp_path):

@@ -22,6 +22,7 @@ from lph.solver import (
 )
 from lph.start_systems import line_points, random_slice, solve_square, witness_points
 from lph.tracker import START_REJECTED, track_stage
+from lph.witness import real_witness_set
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -259,6 +260,36 @@ def test_sextic_paths_to_infinity_end_by_norm_in_few_steps(tracked_paths):
         assert r.reason == "norm-exceeded"
         assert r.steps_taken < 1000
     assert sum(r.steps_taken for r in h2) < 4000
+    # the stage lasts as long as its longest path: 412 lockstep iterations
+    # with an Euler predictor, about 200 with the cubic one
+    assert max(r.steps_taken for r in h2) <= 250
+
+
+def _sextic_witness(seed):
+    """Criterion 1's real witness set of the sextic at solver seed ``seed``,
+    as the benchmark's sextic_witness workload computes it."""
+    f = PolySystem(2, [parse_poly(SEXTIC, XY)])
+    return real_witness_set(f, rng=np.random.default_rng(seed), beta=[0.874645, 1.0351],
+                            c_values=[-3.9825])
+
+
+def test_sextic_h2_paths_do_not_stall_at_seed_36(tracked_paths):
+    # without a Newton step in every corrector, a cubic prediction far from
+    # the origin passes the magnitude-scaled residual test off the path,
+    # the next step fails the pull-back check, and one H2 path's step size
+    # cycles near 1e-4 for about 7900 steps
+    _sextic_witness(36)
+    h2 = [r for H, _, r in tracked_paths if H.n_vars == 3]
+    assert len(h2) == 30
+    assert max(r.steps_taken for r in h2) < 1000
+
+
+@pytest.mark.xfail(strict=True, reason="at seed 41 all 23 Failed H2 paths are refine-rejected "
+                   "and the regular critical point near (-0.78114, 1.28372) is lost")
+def test_sextic_witness_keeps_every_golden_point_at_seed_41():
+    rws = _sextic_witness(41)
+    golden = np.array([-0.781143, 1.28371])
+    assert any(np.abs(wp.point - golden).max() < 1e-4 for wp in rws.points)
 
 
 def _path_bytes(res):

@@ -13,6 +13,7 @@ from lph.tracker import (
     PathResult,
     SystemEvaluator,
     davidenko_rhs,
+    hermite_predict,
     newton_correct,
     residual_within,
     track_path,
@@ -262,3 +263,31 @@ def test_residual_within_scales_by_magnitude_above_one():
     # a far point's round-off floor: 2e-4 passes against magnitude 4e12
     assert residual_within(2e-4, 1e-6, 4e12)
     assert not residual_within(float("nan"), 1e-6, 4e12)
+
+
+def test_hermite_predict_is_exact_on_a_cubic_and_euler_without_a_previous_point():
+    # z(t) = a + b t + c t^2 + e t^3, rows at their own t and step
+    rng = np.random.default_rng(3)
+    a, b, c, e = (rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2)) for _ in range(4))
+
+    def z(t):
+        t = t[:, None]
+        return a + b * t + c * t ** 2 + e * t ** 3
+
+    def dz(t):
+        t = t[:, None]
+        return b + 2 * c * t + 3 * e * t ** 2
+
+    Tp, T, h = np.array([0.1, 0.4, 0.7]), np.array([0.15, 0.5, 0.72]), np.array([0.05, 0.15, 0.01])
+    everyone = np.ones(3, dtype=bool)
+    pred = hermite_predict(z(T), T, dz(T), z(Tp), Tp, dz(Tp), everyone, h)
+    assert np.abs(pred - z(T + h)).max() < 1e-12
+    # a row with no previous point is Euler's, byte for byte, whatever its
+    # stale second node holds
+    first = np.array([True, False, True])
+    stale = first[:, None]
+    mixed = hermite_predict(z(T), T, dz(T), np.where(stale, 5.0, z(Tp)), np.where(first, T, Tp),
+                            np.where(stale, np.nan, dz(Tp)), ~first, h)
+    euler = z(T) + h[:, None] * dz(T)
+    assert mixed[first].tobytes() == euler[first].tobytes()
+    assert np.abs(mixed[1] - z(T + h)[1]).max() < 1e-12
