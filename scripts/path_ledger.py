@@ -14,6 +14,12 @@ the number of lockstep iterations the stage took) and an output line
 digits of the SHA-256 of a point's (or an output's points') bytes, ``-`` for
 a path without endpoint.
 
+The benchmark runs many passes in one process, so the script then runs the
+operations a second time, printing nothing more when that pass repeats
+the first line for line; an operation whose lines differ prints
+``FAIL repeat LABEL: FIRST -> SECOND`` (its first differing line) and the
+exit code is 1, as it is when a workload check fails.
+
 A change that moves paths by design cannot keep the ledger byte-identical.
 ``--json FILE`` also writes, per operation, its counts, its output points,
 the ``(status, reason, steps)`` of each path it tracked and the
@@ -28,7 +34,9 @@ of the parent's: it may track fewer paths, but each one it tracks ends as
 one of the parent's did.  Step counts are not judged, since a change to the
 predictor or the step control moves every one of them by design: an
 operation whose step total or stages' longest paths moved prints a
-``changed`` line, parent -> change.
+``changed`` line, parent -> change.  The two totals lines before them give
+each side's paths, steps and lockstep iterations (the sum of its stages'
+longest paths).
 
 The workloads, their inputs, seeds and checks are those of
 ``perfbench/workloads.py``, which this script only imports.
@@ -39,6 +47,7 @@ import hashlib
 import json
 import sys
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -136,7 +145,8 @@ def changes(parent: dict, change: dict) -> list:
 
 def _totals(ledger: dict) -> str:
     paths = [p for op in ledger["ops"] for p in op["paths"]]
-    return f"{len(paths)} paths, {sum(p[2] for p in paths)} steps"
+    iterations = sum(stage[2] for op in ledger["ops"] for stage in op["stages"])
+    return f"{len(paths)} paths, {sum(p[2] for p in paths)} steps, {iterations} iterations"
 
 
 def main(argv=None) -> int:
@@ -166,17 +176,18 @@ def main(argv=None) -> int:
     original = lph.start_systems.track_stage
     op_paths: list = []
     op_stages: list = []
+    op_lines: list = []
 
     def ledger(H, starts):
         results = original(H, starts)
         for res in results:
             op_paths.append([res.status, res.reason, res.steps_taken])
             end = None if res.endpoint is None else [res.endpoint]
-            print(f"path {res.status} {res.reason} {res.steps_taken} {res.t_reached!r} "
-                  f"{digest(end)}")
+            op_lines.append(f"path {res.status} {res.reason} {res.steps_taken} "
+                            f"{res.t_reached!r} {digest(end)}")
         steps = [res.steps_taken for res in results]
         op_stages.append([len(steps), sum(steps), max(steps, default=0)])
-        print(f"stage paths={len(steps)} steps={sum(steps)} longest={op_stages[-1][2]}")
+        op_lines.append(f"stage paths={len(steps)} steps={sum(steps)} longest={op_stages[-1][2]}")
         return results
 
     # every module that imported track_stage by name holds its own binding
@@ -184,22 +195,39 @@ def main(argv=None) -> int:
         if name.split(".")[0] == "lph" and getattr(module, "track_stage", None) is original:
             module.track_stage = ledger
 
-    ok = True
-    ops = []
-    for op in operations(args.workload, seed, build_setup(args.workload, lph), lph):
-        op_paths.clear()
-        op_stages.clear()
-        out = op.call()
-        outcome = op.check(out)
-        ok = ok and outcome.ok
-        print(f"op {op.label} ok={outcome.ok} {summary(out)}")
-        ops.append({"label": op.label, "ok": outcome.ok, "counts": counts(out),
-                    "points": [[[c.real, c.imag] for c in np.asarray(z, dtype=complex)]
-                               for z in points(out)],
-                    "paths": list(op_paths), "stages": list(op_stages)})
+    workload_ops = operations(args.workload, seed, build_setup(args.workload, lph), lph)
+
+    def run_pass():
+        """Each operation's record and ledger lines, over one pass."""
+        records = []
+        for op in workload_ops:
+            op_paths.clear()
+            op_stages.clear()
+            op_lines.clear()
+            out = op.call()
+            outcome = op.check(out)
+            op_lines.append(f"op {op.label} ok={outcome.ok} {summary(out)}")
+            records.append(({"label": op.label, "ok": outcome.ok, "counts": counts(out),
+                             "points": [[[c.real, c.imag] for c in np.asarray(z, dtype=complex)]
+                                        for z in points(out)],
+                             "paths": list(op_paths), "stages": list(op_stages)},
+                            list(op_lines)))
+        return records
+
+    first = run_pass()
+    for _, lines in first:
+        print("\n".join(lines))
+    ok = all(op["ok"] for op, _ in first)
+    # the benchmark runs many passes in one process: a second pass here must
+    # repeat the first line for line
+    for (op, lines), (_, again) in zip(first, run_pass()):
+        if lines != again:
+            before, after = next(pair for pair in zip_longest(lines, again) if pair[0] != pair[1])
+            print(f"FAIL repeat {op['label']}: {before} -> {after}")
+            ok = False
     if args.json:
         Path(args.json).write_text(json.dumps(
-            {"workload": args.workload, "seed": seed, "ops": ops}) + "\n")
+            {"workload": args.workload, "seed": seed, "ops": [op for op, _ in first]}) + "\n")
     return 0 if ok else 1
 
 

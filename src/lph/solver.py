@@ -344,8 +344,16 @@ def lph_solve(p: LPHProblem, rng: Optional[np.random.Generator] = None) -> LPHRe
         counts[res.status] += 1
         if res.status == CONVERGED:
             endpoints.append(res.endpoint)
+    # distinct paths end at distinct regular roots: two that meet show a
+    # path that jumped onto another's
+    solutions = dedup_points(endpoints)
+    if len(solutions) < len(endpoints):
+        msg = (f"path jump: {len(endpoints) - len(solutions)} converged H2 endpoint(s) "
+               "within DEDUP_TOL of another")
+        logger.warning(msg)
+        warnings.append(msg)
     return LPHResult(
-        _sorted(dedup_points(endpoints)),
+        _sorted(solutions),
         D,
         len(omega),
         root_bound(n, k, d, D),

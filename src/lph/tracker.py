@@ -13,6 +13,13 @@ three states:
 Converged (finite endpoint, refined at t = 1), Divergent (left every
 bounded region), or Failed (tracking broke down at bounded norm).
 
+A path tries its endpoint once, at its first step from t >= T_END: Euler's
+prediction to t = 1, corrected as one more row of that step's corrector and
+accepted only through ``refine_endpoint``.  Most paths end there,
+Converged.  Only a path whose try fails walks the geometric tail, which
+halves the remaining distance at each step, to T_TAIL, where its endpoint
+is refined once more.
+
 ``track_stage`` tracks every path of a stage in lockstep.  The live paths
 are rows of (P, n) arrays, each with its own t, step size, success count
 and tangent, and every iteration makes one step attempt for each of them:
@@ -41,9 +48,10 @@ Each ``PathResult`` also names the exit that ended the path (its
 - ``min-step``: the step was halved below ``MIN_STEP`` (Divergent when the
   tangent points outward, else Failed);
 - ``max-steps``: the step budget ``MAX_STEPS`` ran out (Failed);
-- ``refine-rejected``: the path reached the tail but ``refine_endpoint``
-  rejected its endpoint, by the residual or the contraction test (Failed:
-  the tail point was accepted, so it lies within ``DIVERGENCE_NORM``);
+- ``refine-rejected``: the path's endpoint try failed, it walked the tail
+  to T_TAIL, and ``refine_endpoint`` rejected its endpoint there, by the
+  residual or the contraction test (Failed: the tail point was accepted,
+  so it lies within ``DIVERGENCE_NORM``);
 - ``start-rejected``: the start point failed the start test, the residual
   rule at ``NEWTON_TOL`` on the start system (Failed, no step taken).
 
@@ -176,8 +184,9 @@ MIN_STEP = 1e-7
 MAX_STEP = 0.1
 # A path whose inf-norm passes this is Divergent.
 DIVERGENCE_NORM = 1e7
-# Endgame: from T_END on, steps are capped by half the remaining distance;
-# tracking stops at T_TAIL and the final Newton jump to t = 1 starts there.
+# Endgame: a path tries its endpoint from its first point past T_END; from
+# there on, steps are capped by half the remaining distance, and tracking
+# stops at T_TAIL, where the final Newton jump to t = 1 starts.
 T_ENDGAME = 1e-3
 T_END = 1.0 - T_ENDGAME
 T_TAIL = 1.0 - 1e-5 * T_ENDGAME
@@ -425,6 +434,8 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
     has_dz = np.zeros(len(Z), dtype=bool)
     Zp, Tp, DZp = np.zeros_like(Z), np.zeros(len(Z)), np.zeros_like(Z)
     has_prev = np.zeros(len(Z), dtype=bool)
+    # whether the path has tried its endpoint
+    tried = np.zeros(len(Z), dtype=bool)
     steps = 0
     while True:
         # the exits of the last step; a path leaves the live set when it ends
@@ -434,12 +445,14 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
             ended[:] = True
         if np.count_nonzero(ended):
             for p in ended.nonzero()[0]:
-                results[index[p]] = _end(H, Z[p], float(T[p]), steps, accepted[p],
-                                         norm[p], step[p], DZ[p] if has_dz[p] else None)
+                # a path whose endpoint try was accepted has its result already
+                if results[index[p]] is None:
+                    results[index[p]] = _end(H, Z[p], float(T[p]), steps, accepted[p],
+                                             norm[p], step[p], DZ[p] if has_dz[p] else None)
             live = ~ended
             (index, Z, T, step, successes, accepted, DZ, has_dz, Zp, Tp, DZp, has_prev,
-             norm) = (a[live] for a in (index, Z, T, step, successes, accepted, DZ, has_dz,
-                                        Zp, Tp, DZp, has_prev, norm))
+             tried, norm) = (a[live] for a in (index, Z, T, step, successes, accepted, DZ,
+                                               has_dz, Zp, Tp, DZp, has_prev, tried, norm))
         if not index.size:
             return results
 
@@ -474,19 +487,41 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
         ahead = T < T_END
         Z_pred = hermite_predict(Z, T, DZ, Zp, Tp, DZp, has_prev & ahead, h)
         T_new = T + h
-        Z_new, ok, regular, factored, dh_dt = _correct(
-            H, Z_pred, T_new, np.where(tight, STEP_ITERS, NEWTON_ITERS), has_dz.copy(), ahead)
+        active, must_step, Z_from, norm_from = has_dz.copy(), ahead, Z, norm
+        # On entering the tail, a path tries its endpoint once: Euler's
+        # prediction to t = 1 rides as one more row of this step's corrector,
+        # under the tight budget and with no forced Newton step.  A row's
+        # bytes do not depend on its batch, so a failed try leaves the
+        # path's tail as it is without one.
+        trying = np.flatnonzero(has_dz & ~(ahead | tried))
+        P = len(Z)
+        if trying.size:
+            tried[trying] = True
+            of_row = np.concatenate([np.arange(P), trying])
+            active, must_step = has_dz[of_row], ahead[of_row]
+            Z_from, norm_from = Z[of_row], norm[of_row]
+            Z_pred = np.concatenate([Z_pred, Z[trying] + (1.0 - T[trying, None]) * DZ[trying]])
+            T_new = np.concatenate([T_new, np.ones(trying.size)])
+            tight = np.concatenate([tight, np.ones(trying.size, dtype=bool)])
+        iters = np.where(tight, STEP_ITERS, NEWTON_ITERS)
+        Z_new, ok, regular, factored, dh_dt = _correct(H, Z_pred, T_new, iters, active,
+                                                       must_step)
         # corrector success also requires the correction to stay small
         # against the predicted move; a large pull-back means the iteration
         # latched onto a different path
-        move = np.abs(Z_pred - Z).max(axis=1)
+        move = np.abs(Z_pred - Z_from).max(axis=1)
         corr = np.abs(Z_new - Z_pred).max(axis=1)
-        ok &= ~tight | (corr <= np.maximum(0.5 * move, 10 * NEWTON_TOL * (1.0 + norm)))
+        ok &= ~tight | (corr <= np.maximum(0.5 * move, 10 * NEWTON_TOL * (1.0 + norm_from)))
+        dz_next = lu_solve_factored(factored, -dh_dt)
+        tries = ()
+        if trying.size:
+            tries = zip(trying[ok[P:]], Z_new[P:][ok[P:]])
+            T_new, Z_new, ok, regular, dz_next = (
+                a[:P] for a in (T_new, Z_new, ok, regular, dz_next))
         # tangent consistency: a rotation past 60 degrees in one step means
         # either a hairpin the step cannot resolve or a hop onto a
         # neighboring path, so halve and retry
         checked = ok & (h > 10 * MIN_STEP)
-        dz_next = lu_solve_factored(factored, -dh_dt)
         ok &= ~checked | (regular & (_cos_angles(DZ, dz_next) >= 0.5))
 
         steps += 1
@@ -507,6 +542,14 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
         step = np.where(grown, np.minimum(step * 1.5, MAX_STEP), np.where(ok, step, step / 2))
         successes[grown] = 0
         accepted = ok
+        # a tried endpoint that passes is accepted only through
+        # refine_endpoint; its path is then at t = 1, and ends
+        for p, z in tries:
+            refined = refine_endpoint(H, z)
+            if refined is not None:
+                results[index[p]] = PathResult(CONVERGED, refined[0], 1.0, refined[1],
+                                               steps, "converged")
+                T[p] = 1.0
 
 
 def _end(H: HomotopyPair, z: np.ndarray, t: float, steps: int, accepted: bool,

@@ -50,6 +50,43 @@ def test_path_ledger_random_batch():
     assert len(paths) == 60
     assert len(ops) == 20
     assert all(" D=" in op and " solutions=" in op for op in ops)
+    # every path converges, at its endpoint try on entering the tail: the
+    # 12 stages take 612 lockstep iterations, where walking the tail to
+    # its end took 816
+    assert sum(int(st["longest"]) for st in stages) <= 650
+
+
+def test_path_ledger_fails_a_pass_that_does_not_repeat():
+    # the workload's second pass in the same process loses a point of
+    # lph_solve[0]: its check fails and the ledger prints FAIL repeat
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['path_ledger', '--workload', 'random_batch', '--seed', '100']\n"
+        "ledger = runpy.run_path('scripts/path_ledger.py')\n"
+        "operations = ledger['main'].__globals__['operations']\n"
+        "def losing(*args):\n"
+        "    ops = operations(*args)\n"
+        "    call, passes = ops[0].call, []\n"
+        "    def second_loses_a_point():\n"
+        "        out = call()\n"
+        "        passes.append(out)\n"
+        "        if len(passes) == 2:\n"
+        "            out.solutions = out.solutions[1:]\n"
+        "        return out\n"
+        "    ops[0].call = second_loses_a_point\n"
+        "    return ops\n"
+        "ledger['main'].__globals__['operations'] = losing\n"
+        "sys.exit(ledger['main']())\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                          text=True, timeout=150)
+    assert proc.returncode == 1, proc.stderr
+    fails = [ln for ln in proc.stdout.splitlines() if ln.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL repeat lph_solve[0]: op lph_solve[0] ok=True")
+    assert " ok=False " in fails[0]
+    # the first pass's ledger printed as it is
+    assert sum(ln.startswith("op ") for ln in proc.stdout.splitlines()) == 20
 
 
 PARENT = {
@@ -88,7 +125,8 @@ def test_path_ledger_compare_passes_fewer_paths_and_round_off(tmp_path):
     op["stages"] = [[1, 40, 40]]
     code, out = _compare(tmp_path, change)
     assert code == 0, out
-    assert out.splitlines() == ["parent: 3 paths, 170 steps", "change: 1 paths, 40 steps",
+    assert out.splitlines() == ["parent: 3 paths, 170 steps, 90 iterations",
+                                "change: 1 paths, 40 steps, 40 iterations",
                                 "changed lph_solve[0]: steps 170 -> 40, longest [90] -> [40]"]
 
 

@@ -21,7 +21,7 @@ from lph.solver import (
     root_bound,
 )
 from lph.start_systems import line_points, random_slice, solve_square, witness_points
-from lph.tracker import START_REJECTED, track_stage
+from lph.tracker import CONVERGED, START_REJECTED, track_stage
 from lph.witness import real_witness_set
 
 XY = ["x", "y"]
@@ -394,6 +394,32 @@ def test_h1_path_that_fails_drops_its_point_with_one_warning(monkeypatch, caplog
     assert clean.warnings == [] and planted.warnings == [msg]
     assert [r.getMessage() for r in caplog.records] == [msg]
     assert planted.omega_count == clean.omega_count - 1
+
+
+def test_h2_endpoints_that_meet_record_a_path_jump(monkeypatch, caplog):
+    # a planted jump: one Converged H2 path ends on another's endpoint.
+    # dedup keeps one of the two, and lph_solve records the jump with one
+    # warning, logged once
+    f = parse("x^2 + y*z - 2\nx + y^2 - z - 1", XYZ)
+    p = LPHProblem(f, jacobian_transpose(f), np.random.default_rng(9).normal(size=3) + 0j)
+    clean = lph_solve(p, rng=np.random.default_rng(10))
+    original = lph.solver.track_stage
+
+    def jumping(H, starts):
+        results = original(H, starts)
+        if H.n_vars == 5:  # H2, in (x, lambda)
+            ends = [res for res in results if res.status == CONVERGED]
+            ends[1].endpoint = ends[0].endpoint + 1e-9
+        return results
+
+    monkeypatch.setattr(lph.solver, "track_stage", jumping)
+    with caplog.at_level(logging.WARNING, logger="lph.solver"):
+        planted = lph_solve(p, rng=np.random.default_rng(10))
+    msg = "path jump: 1 converged H2 endpoint(s) within DEDUP_TOL of another"
+    assert clean.warnings == [] and planted.warnings == [msg]
+    assert [r.getMessage() for r in caplog.records] == [msg]
+    assert planted.converged == clean.converged
+    assert len(planted.solutions) == len(clean.solutions) - 1
 
 
 def test_lph_solve_assembles_no_original_system_and_refines_nothing(monkeypatch):

@@ -198,6 +198,31 @@ def test_path_end_reasons(monkeypatch, start, target, gamma, z0, max_steps, stat
     assert (res.status, res.reason) == (status, reason)
 
 
+# the geometric tail from T_END to T_TAIL halves the remaining distance at
+# each step: a path that walks it takes 17 steps there
+TAIL_STEPS = 17
+
+
+def test_regular_path_ends_at_its_first_tail_step():
+    # its endpoint try on entering the tail passes refine_endpoint, so it
+    # takes 14 steps where walking the tail took 31
+    H = _pair("x^2 - 1", "x^2 - 4", X, gamma=0.6 + 0.8j)
+    for z0 in (1.0, -1.0):
+        res = track_path(H, np.array([z0 + 0j]))
+        assert (res.status, res.reason, res.t_reached) == (CONVERGED, "converged", 1.0)
+        assert min(abs(res.endpoint[0] - 2.0), abs(res.endpoint[0] + 2.0)) < 1e-12
+        assert res.steps_taken == 14 == 31 - TAIL_STEPS
+
+
+def test_triple_root_path_walks_the_tail_after_its_failed_try():
+    # the try fails, and the path walks the tail to the refine-rejected
+    # end it reached without one, in as many steps
+    H = _pair("x^3 - 1", "x^3", X, gamma=0.6 + 0.8j)
+    res = track_path(H, np.array([1.0 + 0j]))
+    assert (res.status, res.reason, res.steps_taken) == (FAILED, "refine-rejected", 58)
+    assert res.t_reached == lph.tracker.T_TAIL
+
+
 def test_track_bad_start_rejected():
     # a start off the start system is a path outcome, which track_path
     # records; a start of the wrong length is a caller bug
@@ -255,6 +280,23 @@ def test_track_path_is_the_stage_of_one_start():
             assert alone.endpoint.tobytes() == staged[0].endpoint.tobytes()
         reasons.append(alone.reason)
     assert reasons == ["converged", "norm-exceeded", "min-step", START_REJECTED]
+
+    # a stage that mixes both ends of the tail: x^3 (x - 2) has the regular
+    # root 2, reached by the first path at its endpoint try, and a triple
+    # root at 0, whose three paths try, fail and walk the tail
+    H = _pair("x^4 - 1", "x^4 - 2*x^3", X, gamma=0.6 + 0.8j)
+    starts = [np.array([z0]) for z0 in (1.0 + 0j, -1.0 + 0j, 1j, -1j)]
+    staged = track_stage(H, starts)
+    assert [res.reason for res in staged] == ["converged"] + 3 * ["refine-rejected"]
+    assert abs(staged[0].endpoint[0] - 2.0) < 1e-12
+    # the first path took 38 steps when it walked the tail too
+    assert [res.steps_taken for res in staged] == [38 - TAIL_STEPS, 62, 68, 58]
+    for z0, together in zip(starts, staged):
+        alone = track_path(H, z0)
+        for field in ("status", "reason", "steps_taken", "t_reached", "residual"):
+            assert getattr(alone, field) == getattr(together, field)
+        if alone.endpoint is not None:
+            assert alone.endpoint.tobytes() == together.endpoint.tobytes()
 
 
 def test_residual_within_scales_by_magnitude_above_one():
