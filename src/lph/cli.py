@@ -395,11 +395,12 @@ def cmd_verify(args) -> int:
                                      f"not {ev.n_vars - f_eval.n_vars}")
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"solution record {i} is malformed: {exc!r}")
-        values, J = ev.values(z), ev.jacobian(z)
+        vals_grads, magnitude = ev.evaluate(z[None])
+        values, J = vals_grads[0, :, 0], vals_grads[0, :, 1:]
         # LAPACK rejects a non-finite matrix; such a point's step is NaN
         step = (np.linalg.lstsq(J, values, rcond=None)[0] if np.isfinite(J).all()
                 else np.full(len(z), np.nan))
-        r, m = float(np.abs(values).max()), float(ev.magnitude(z).max(initial=0.0))
+        r, m = float(np.abs(values).max()), float(magnitude.max(initial=0.0))
         ok = residual_within(r, VERIFY_TOL, m) and contracted(step, z)
         judged.append((r, m, float(np.abs(step).max()), i, ok))
     failed = [rec for rec in judged if not rec[4]]

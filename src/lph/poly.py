@@ -32,7 +32,7 @@ class ParseError(ValueError):
         self.col = col
 
 
-def _grlex_key(exps):
+def _grlex_order(exps):
     return (sum(exps), exps)
 
 
@@ -52,7 +52,7 @@ class MultiPoly:
                 raise ValueError("negative exponent")
             acc[exps] = acc.get(exps, 0) + complex(coeff)
         items = [(e, c) for e, c in acc.items() if abs(c) > COEFF_DROP]
-        items.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
+        items.sort(key=lambda t: _grlex_order(t[0]), reverse=True)
         self.n_vars = n_vars
         self.exps = np.array([e for e, _ in items], dtype=np.int64).reshape(len(items), n_vars)
         self.coeffs = np.array([c for _, c in items], dtype=complex)

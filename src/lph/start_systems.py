@@ -6,8 +6,9 @@ A square system whose rows are affine but one is solved on the line the
 affine rows cut out, with no path tracked (``line_points``): the nonlinear
 row restricts to a univariate polynomial there.  That is every witness
 problem of a hypersurface.  A Converged endpoint is used as tracked:
-``refine_on`` runs only where a point is made or changes, on the roots of
-``line_points`` and in ``real_filter``, which drops an imaginary part.
+``refine_on`` (``refine_endpoint``, one point per call) runs only where a
+point is made or changes, on the roots of ``line_points`` and in
+``real_filter``, which drops an imaginary part.
 """
 
 from __future__ import annotations
@@ -100,8 +101,8 @@ def line_points(F: PolySystem) -> Optional[List[np.ndarray]]:
     """The roots of a square F whose rows are affine but one, computed on
     the line x = p + s * v the affine rows cut out: the nonlinear row f of
     degree d restricts to a univariate g(s), whose coefficients come from
-    its values at the d + 1 roots of unity and whose roots come from
-    ``np.roots``.  Each root is accepted only through ``refine_on``.  None
+    its values at the d + 1 roots of unity, one ``evaluate`` call, and
+    whose roots from ``np.roots``.  Each root must pass ``refine_on``.  None
     when F is not of that form, its affine rows are dependent, a root is
     rejected or fewer than d distinct points remain."""
     n = F.n_vars
@@ -131,7 +132,7 @@ def line_points(F: PolySystem) -> Optional[List[np.ndarray]]:
     R = HomotopyPair(F, F, 1.0)
     d = F.polys[i].degree
     omega = np.exp(2j * np.pi * np.arange(d + 1) / (d + 1))
-    values = np.array([R.target_values(p + w * v)[i] for w in omega])
+    values = R.evaluate(p + omega[:, None] * v, R.weights(np.ones(d + 1)))[2][:, n + i]
     # g(w^m) = sum_k c_k w^(m k): the inverse DFT gives c, lowest first
     coeffs = np.conj(np.vander(omega, increasing=True)) @ values / (d + 1)
     points = []

@@ -4,14 +4,16 @@ H(z, t) = (1 - t) * G(z) + gamma * t * F(z) from t = 0 to t = 1.
 The predictor is the cubic Hermite extrapolation through a path's last two
 accepted points and their tangents on the Davidenko ODE (``hermite_predict``),
 explicit Euler for a path's first step, after a step that left no tangent
-and in the tail; the corrector is a full Newton iteration at fixed t.  A
-pair compiles one evaluator of the stacked system [G; F], so each point's
-values, Jacobians and magnitudes of both systems are one product each, and
-the tangent computed to check an accepted step is the next step's
-predictor, with no evaluation of its own.  Paths end in one of
-three states:
-Converged (finite endpoint, refined at t = 1), Divergent (left every
-bounded region), or Failed (tracking broke down at bounded norm).
+and in the tail; the corrector, ``_correct``, is full Newton at fixed t on
+a stack of points.  It is the only Newton loop: ``refine_endpoint`` and
+``newton_correct`` run it on a stack of one, so a refined point has the
+bytes of its row in any stack.  A pair compiles one evaluator of the
+stacked system [G; F], so each point's values, Jacobians and magnitudes of
+both systems are one product each, and the tangent computed to check an
+accepted step is the next step's predictor, with no evaluation of its own.
+Paths end in one of three states: Converged (finite endpoint, refined at
+t = 1), Divergent (left every bounded region), or Failed (tracking broke
+down at bounded norm).
 
 A path tries its endpoint once, at its first step from t >= T_END: Euler's
 prediction to t = 1, corrected as one more row of that step's corrector and
@@ -68,7 +70,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .linalg import SingularMatrixError, factor_stack, lu_factor, lu_solve_factored
+# lu_factor is unused here; perfbench/test_perfbench.py and tests/test_api.py
+# check this binding of it
+from .linalg import SingularMatrixError, factor_stack, lu_factor, lu_solve_factored  # noqa: F401
 from .poly import PolySystem
 
 CONVERGED = "Converged"
@@ -85,11 +89,11 @@ class SystemEvaluator:
     """Compiled evaluator for a polynomial system and its Jacobian.
 
     Each distinct monomial of the polynomials and of their Jacobian entries
-    is one column, numbered in the order met.  A point's monomials come from
-    a per-variable power table by one gather and one product, and the last
-    point's vector is kept, keyed on the point's bytes, so results never
-    depend on the order of calls.  The values, the Jacobian entries and the
-    magnitudes are small dense coefficient matrices applied to that vector.
+    is one column, numbered in the order met.  A stack of points' monomials
+    come from a per-variable power table by one gather and one product per
+    variable; the values, the Jacobian entries and the magnitudes are small
+    dense coefficient matrices applied to them.  Nothing is kept between
+    calls.
     """
 
     def __init__(self, system: PolySystem):
@@ -101,81 +105,56 @@ class SystemEvaluator:
             return np.array([column.setdefault(e, len(column))
                              for e in map(tuple, exps.tolist())], dtype=np.intp)
 
-        # (row, monomial columns, coefficients) of the nonzero entries
-        val, jac = [], []
+        # (row, monomial columns, coefficients) of the nonzero entries; per
+        # polynomial, its value then its gradient, so one product gives a
+        # batch of points' values and Jacobians
+        entries = []
         for i, p in enumerate(system.polys):
-            val.append((i, columns(p.exps), p.coeffs))
+            entries.append((i * (n + 1), columns(p.exps), p.coeffs))
             # d/dz_j of c * z^e is e_j * c * z^(e - u_j)
             for j in range(n):
                 live = p.exps[:, j] > 0
                 shifted = p.exps[live] - np.eye(n, dtype=p.exps.dtype)[j]
-                jac.append((i * n + j, columns(shifted), p.exps[live, j] * p.coeffs[live]))
-        self._vals = self._dense(val, self.n_polys, len(column))
-        self._abs_vals = np.abs(self._vals)
-        self._jac = self._dense(jac, self.n_polys * n, len(column))
-        # per polynomial, its value then its gradient: one product gives a
-        # batch of points' values and Jacobians
-        self._vals_grads = np.concatenate(
-            [self._vals[:, None], self._jac.reshape(self.n_polys, n, -1)], axis=1
-        ).reshape(self.n_polys * (n + 1), -1)
+                entries.append((i * (n + 1) + 1 + j, columns(shifted),
+                                p.exps[live, j] * p.coeffs[live]))
+        self._vals_grads = np.zeros((self.n_polys * (n + 1), len(column)), dtype=complex)
+        for row, cols, coeffs in entries:
+            self._vals_grads[row, cols] = coeffs
+        self._abs_vals = np.abs(self._vals_grads[::n + 1])
         exps = np.array(list(column), dtype=np.intp).reshape(-1, n)
         width = int(exps.max()) + 1 if exps.size else 1
         self._exponents = np.arange(width)
-        # (n_vars, n_monomials) indices into the flattened power table
+        # per variable, each monomial's index into the flattened power table
         self._gather = exps.T + width * np.arange(n)[:, None]
-        self._key = None
 
-    @staticmethod
-    def _dense(entries, n_rows: int, width: int) -> np.ndarray:
-        out = np.zeros((n_rows, width), dtype=complex)
-        for row, cols, coeffs in entries:
-            out[row, cols] = coeffs
-        return out
-
-    def _monomial_rows(self, Z: np.ndarray) -> np.ndarray:
-        """(P, n_monomials) monomials of the P points Z (P, n_vars).  The
-        gathered powers are multiplied one variable at a time, so each
-        row's bytes do not depend on P (a ``prod`` would reduce in the
-        layout order of the gather, which changes with P)."""
+    def evaluate(self, Z: np.ndarray):
+        """At the P points Z (P, n_vars): per point and polynomial its value
+        and gradient, (P, n_polys, 1 + n_vars), and its magnitude,
+        sum_t |c_t| * |z|^e_t, (P, n_polys), the scale against which the
+        evaluation round-off floor is set.  Each row comes from the same
+        ``einsum`` kernel whatever P is."""
+        # the gathered powers are multiplied one variable at a time, so each
+        # row's bytes do not depend on P (a ``prod`` would reduce in the
+        # layout order of the gather, which changes with P)
         powers = (Z[:, :, None] ** self._exponents).reshape(len(Z), -1)
         gathered = powers.take(self._gather, axis=1)
         mono = gathered[:, 0]
         for v in range(1, self.n_vars):
             mono = mono * gathered[:, v]
-        return mono
-
-    def _monomials(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=complex)
-        key = z.tobytes()
-        if key != self._key:
-            self._mono = self._monomial_rows(z[None])[0]
-            self._abs = None
-            self._key = key
-        return self._mono
-
-    def values(self, z: np.ndarray) -> np.ndarray:
-        return self._vals @ self._monomials(z)
-
-    def jacobian(self, z: np.ndarray) -> np.ndarray:
-        return (self._jac @ self._monomials(z)).reshape(self.n_polys, self.n_vars)
-
-    def magnitude(self, z: np.ndarray) -> np.ndarray:
-        """Per polynomial, sum_t |c_t| * |z|^e_t: the scale against which the
-        evaluation round-off floor is set."""
-        mono = self._monomials(z)
-        if self._abs is None:
-            self._abs = np.abs(mono)
-        return self._abs_vals @ self._abs
-
-    def evaluate(self, Z: np.ndarray):
-        """At the P points Z (P, n_vars): per point and polynomial its value
-        and gradient, (P, n_polys, 1 + n_vars), and its magnitude,
-        (P, n_polys).  Each row comes from the same ``einsum`` kernel
-        whatever P is."""
-        mono = self._monomial_rows(Z)
         vals_grads = np.einsum("rm,pm->pr", self._vals_grads, mono)
         magnitudes = np.einsum("rm,pm->pr", self._abs_vals, np.abs(mono))
         return vals_grads.reshape(len(Z), self.n_polys, -1), magnitudes
+
+    # ``evaluate`` at one point: nothing in lph calls these three, which
+    # perfbench/tracer.py's TARGETS name, so a traced run needs them
+    def values(self, z: np.ndarray) -> np.ndarray:
+        return self.evaluate(np.asarray(z, dtype=complex)[None])[0][0, :, 0]
+
+    def jacobian(self, z: np.ndarray) -> np.ndarray:
+        return self.evaluate(np.asarray(z, dtype=complex)[None])[0][0, :, 1:]
+
+    def magnitude(self, z: np.ndarray) -> np.ndarray:
+        return self.evaluate(np.asarray(z, dtype=complex)[None])[1][0]
 
 
 # Step control: first, smallest and largest step in t.
@@ -209,7 +188,7 @@ CONTRACTION_TOL = 1e-6
 def residual_within(residual: float, tol: float, magnitude: float) -> bool:
     """The one acceptance rule for a residual: it counts as zero when it is
     at most tol * max(1, magnitude), where magnitude is the evaluation scale
-    of the system at the point (``SystemEvaluator.magnitude``), so the bound
+    of the system at the point (``SystemEvaluator.evaluate``), so the bound
     never falls below the round-off floor of a large point.  It takes
     arrays of residuals and magnitudes too, one verdict per entry."""
     return residual <= tol * np.fmax(1.0, magnitude)
@@ -232,27 +211,6 @@ class HomotopyPair:
         self.n_vars = start.n_vars
         self._h = SystemEvaluator(PolySystem(self.n_vars, start.polys + target.polys))
 
-    def eval_h(self, z: np.ndarray, t: float) -> np.ndarray:
-        v, n = self._h.values(z), self.n_vars
-        return (1 - t) * v[:n] + self.gamma * t * v[n:]
-
-    def eval_dh_dz(self, z: np.ndarray, t: float) -> np.ndarray:
-        J, n = self._h.jacobian(z), self.n_vars
-        return (1 - t) * J[:n] + self.gamma * t * J[n:]
-
-    def target_values(self, z: np.ndarray) -> np.ndarray:
-        return self._h.values(z)[self.n_vars:]
-
-    def target_magnitude(self, z: np.ndarray) -> float:
-        return float(self._h.magnitude(z)[self.n_vars:].max(initial=0.0))
-
-    def scale(self, z: np.ndarray, t: float) -> float:
-        """Evaluation magnitude of H at (z, t); residual tolerances below
-        roughly eps times this are not numerically meaningful."""
-        m, n = self._h.magnitude(z), self.n_vars
-        return ((1 - t) * float(m[:n].max(initial=0.0))
-                + abs(self.gamma) * t * float(m[n:].max(initial=0.0)))
-
     def weights(self, T: np.ndarray):
         """The weights of G and F at the P values T, for ``evaluate``."""
         a = 1 - T
@@ -260,15 +218,15 @@ class HomotopyPair:
 
     def evaluate(self, Z: np.ndarray, weights):
         """At P points Z (P, n), point p at the t of row p of ``weights``:
-        [H | dH/dz] as one (P, n, 1 + n) array, the scale (P,), and the
-        values of G and F (P, 2n) for ``dh_dt``, all from one evaluation of
-        the stacked system."""
+        [H | dH/dz] as one (P, n, 1 + n) array, H's evaluation magnitude
+        (P,), the values of G and F (P, 2n) for ``dh_dt`` and F's
+        magnitude (P,), all from one evaluation of the stacked system."""
         vals_grads, m = self._h.evaluate(Z)
         a, b, a_scale, b_scale = weights
         n = self.n_vars
         h_dz = a * vals_grads[:, :n] + b * vals_grads[:, n:]
         m = m.reshape(len(Z), 2, n).max(axis=2, initial=0.0)
-        return h_dz, a_scale * m[:, 0] + b_scale * m[:, 1], vals_grads[:, :, 0]
+        return h_dz, a_scale * m[:, 0] + b_scale * m[:, 1], vals_grads[:, :, 0], m[:, 1]
 
     def dh_dt(self, values: np.ndarray) -> np.ndarray:
         """dH/dt at P points from their values of G and F (P, 2n)."""
@@ -286,12 +244,21 @@ class PathResult:
     reason: str
 
 
+def _tangents(H: HomotopyPair, Z: np.ndarray, T: np.ndarray):
+    """Per row, whether dH/dz is regular at (Z[p], T[p]), and the tangent
+    dz/dt from (dH/dz) dz/dt = -dH/dt there (meaningless where it is not)."""
+    h_dz, _, values, _ = H.evaluate(Z, H.weights(T))
+    regular, factored = factor_stack(h_dz[:, :, 1:], Z)
+    return regular, lu_solve_factored(factored, -H.dh_dt(values))
+
+
 def davidenko_rhs(H: HomotopyPair, z, t: float) -> np.ndarray:
-    """Tangent dz/dt from (dH/dz) dz/dt = -dH/dt at one point, as
-    ``track_stage`` takes it for each of its paths."""
-    Z = np.asarray(z, dtype=complex)[None]
-    h_dz, _, values = H.evaluate(Z, H.weights(np.array([float(t)])))
-    return lu_solve_factored(lu_factor(h_dz[0, :, 1:], Z[0]), -H.dh_dt(values)[0])
+    """The tangent dz/dt at one point: ``_tangents`` on the stack of one.
+    Raises SingularMatrixError on a singular Jacobian."""
+    regular, dz = _tangents(H, np.asarray(z, dtype=complex)[None], np.array([float(t)]))
+    if not regular[0]:
+        raise SingularMatrixError("singular under the pivot rule")
+    return dz[0]
 
 
 def _cos_angles(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -305,20 +272,49 @@ def _cos_angles(U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.divide(dot, norms, out=np.ones(len(dot)), where=norms != 0.0)
 
 
+def _correct(H: HomotopyPair, Z: np.ndarray, weights, iters: np.ndarray,
+             active: np.ndarray, must_step: np.ndarray, tol: float = NEWTON_TOL):
+    """Full Newton steps on the active rows of Z at once, row p at the t of
+    row p of ``weights`` with a budget of iters[p] steps, until its inf-norm
+    residual passes ``residual_within`` at tol and H's magnitude: a row
+    drops out when its residual passes, its budget runs out or its Jacobian
+    is singular.  A row of must_step takes one Newton step before its
+    residual may pass.  Every row is evaluated and its Jacobian factored in
+    each iteration, so the last iteration's evaluation and factors are
+    those at the corrected points.  Returns the corrected points, which
+    rows passed, and the last iteration's Jacobian verdicts, factors and
+    ``HomotopyPair.evaluate`` output."""
+    Z = Z.copy()
+    passed = np.zeros(len(Z), dtype=bool)
+    i = 0
+    while True:
+        evaluated = H.evaluate(Z, weights)
+        h_dz = evaluated[0]
+        r = h_dz[:, :, 0]
+        within = ((i > 0) | ~must_step) & residual_within(np.abs(r).max(axis=1), tol,
+                                                          evaluated[1])
+        passed |= active & within
+        regular, factored = factor_stack(h_dz[:, :, 1:], Z)
+        active &= ~within & (iters > i) & regular
+        if not np.count_nonzero(active):
+            return Z, passed, regular, factored, evaluated
+        np.subtract(Z, lu_solve_factored(factored, r), out=Z, where=active[:, None])
+        i += 1
+
+
 def newton_correct(H: HomotopyPair, z, t: float, max_iters: int = NEWTON_ITERS,
                    tol: float = NEWTON_TOL) -> np.ndarray:
-    """Full Newton steps on H(., t) until the inf-norm residual passes
-    ``residual_within`` at tol and H's evaluation magnitude at the point.
-    Raises on singular Jacobian or non-convergence (the residual still fails
-    after max_iters steps)."""
-    z = np.asarray(z, dtype=complex).copy()
-    for i in range(max_iters + 1):
-        r = H.eval_h(z, t)
-        if residual_within(np.abs(r).max(), tol, H.scale(z, t)):
-            return z
-        if i == max_iters:
-            raise NoConvergenceError(f"Newton did not reach {tol} at t={t}")
-        z = z - lu_solve_factored(lu_factor(H.eval_dh_dz(z, t), z), r)
+    """``_correct`` on the stack of one point z at t.  Raises
+    SingularMatrixError on a singular Jacobian and NoConvergenceError when
+    the residual still fails after max_iters steps."""
+    Z, passed, regular, _, _ = _correct(
+        H, np.asarray(z, dtype=complex)[None], H.weights(np.array([float(t)])),
+        np.array([max_iters]), np.ones(1, dtype=bool), np.zeros(1, dtype=bool), tol)
+    if passed[0]:
+        return Z[0]
+    if not regular[0]:
+        raise SingularMatrixError("singular under the pivot rule")
+    raise NoConvergenceError(f"Newton did not reach {tol} at t={t}")
 
 
 def contracted(step: np.ndarray, z: np.ndarray) -> bool:
@@ -332,55 +328,34 @@ def contracted(step: np.ndarray, z: np.ndarray) -> bool:
 
 def refine_endpoint(H: HomotopyPair, z, max_iters: int = NEWTON_ITERS,
                     tol: float = NEWTON_TOL):
-    """The endpoint-acceptance rule: Newton at t = 1, then up to three more
-    Newton steps, each from one factorization.  The first two push the
-    residual toward the round-off floor and are kept only while it falls;
-    the first step not kept (or the third) must pass ``contracted``, and
-    the target residual must pass ``residual_within`` at ENDPOINT_TOL.
-    Returns (point, residual), or None when the point is rejected."""
-    try:
-        z1 = newton_correct(H, z, 1.0, max_iters=max_iters, tol=tol)
-        for polish in range(3):
-            r = H.eval_h(z1, 1.0)
-            step = lu_solve_factored(lu_factor(H.eval_dh_dz(z1, 1.0), z1), r)
-            if polish == 2 or np.abs(H.eval_h(z1 - step, 1.0)).max() >= np.abs(r).max():
-                break
-            z1 = z1 - step
-    except (SingularMatrixError, NoConvergenceError):
+    """The endpoint-acceptance rule: ``_correct`` at t = 1 on the stack of
+    one, then up to three more Newton steps, each from the evaluation and
+    factors at the point it leaves, so no point is evaluated twice.  The
+    first two are kept only while the residual falls; the first step not
+    kept (or the third) must pass ``contracted``, and the target residual
+    must pass ``residual_within`` at ENDPOINT_TOL.  Returns (point,
+    residual), or None when the point is rejected."""
+    weights = H.weights(np.ones(1))
+    Z, passed, regular, factored, evaluated = _correct(
+        H, np.asarray(z, dtype=complex)[None], weights, np.array([max_iters]),
+        np.ones(1, dtype=bool), np.zeros(1, dtype=bool), tol)
+    for polish in range(3):
+        if not (passed[0] and regular[0]):
+            return None
+        r = evaluated[0][:, :, 0]
+        step = lu_solve_factored(factored, r)
+        if polish == 2:
+            break
+        kept = H.evaluate(Z - step, weights)
+        if np.abs(kept[0][:, :, 0]).max() >= np.abs(r).max():
+            break
+        Z, evaluated = Z - step, kept
+        regular, factored = factor_stack(evaluated[0][:, :, 1:], Z)
+    residual = float(np.abs(evaluated[2][0, H.n_vars:]).max())
+    if not (residual_within(residual, ENDPOINT_TOL, evaluated[3][0])
+            and contracted(step[0], Z[0])):
         return None
-    residual = float(np.abs(H.target_values(z1)).max())
-    if not (residual_within(residual, ENDPOINT_TOL, H.target_magnitude(z1))
-            and contracted(step, z1)):
-        return None
-    return z1, residual
-
-
-def _correct(H: HomotopyPair, Z: np.ndarray, T: np.ndarray, iters: np.ndarray,
-             active: np.ndarray, must_step: np.ndarray):
-    """``newton_correct`` on the active rows of Z at once, row p at t = T[p]
-    with a budget of iters[p] steps: a row drops out when its residual
-    passes, its budget runs out or its Jacobian is singular.  A row of
-    must_step takes one Newton step before its residual may pass.  Every
-    row is evaluated and its Jacobian factored in each iteration, so the last
-    iteration's factors are those at the corrected points, where the next
-    tangents are taken.  Returns the corrected points, which rows passed,
-    and the last iteration's Jacobian verdicts, factors and dH/dt."""
-    Z = Z.copy()
-    passed = np.zeros(len(Z), dtype=bool)
-    weights = H.weights(T)
-    i = 0
-    while True:
-        h_dz, scale, values = H.evaluate(Z, weights)
-        r = h_dz[:, :, 0]
-        within = ((i > 0) | ~must_step) & residual_within(
-            np.abs(r).max(axis=1), NEWTON_TOL, scale)
-        passed |= active & within
-        regular, factored = factor_stack(h_dz[:, :, 1:], Z)
-        active &= ~within & (iters > i) & regular
-        if not np.count_nonzero(active):
-            return Z, passed, regular, factored, H.dh_dt(values)
-        np.subtract(Z, lu_solve_factored(factored, r), out=Z, where=active[:, None])
-        i += 1
+    return Z[0], residual
 
 
 def hermite_predict(Z: np.ndarray, T: np.ndarray, DZ: np.ndarray, Zp: np.ndarray,
@@ -411,7 +386,7 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
     if not starts:
         return results
     Z = np.array(starts)
-    h_dz, scale, _ = H.evaluate(Z, H.weights(np.zeros(len(Z))))
+    h_dz, scale, _, _ = H.evaluate(Z, H.weights(np.zeros(len(Z))))
     started = residual_within(np.abs(h_dz[:, :, 0]).max(axis=1), NEWTON_TOL, scale)
     for p in np.flatnonzero(~started):
         results[p] = PathResult(FAILED, None, 0.0, float("inf"), 0, START_REJECTED)
@@ -468,11 +443,9 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
         tight = h > 1e-4
         rows = (~has_dz).nonzero()[0]
         if rows.size:
-            h_dz, _, values = H.evaluate(Z[rows], H.weights(T[rows]))
-            regular, factored = factor_stack(h_dz[:, :, 1:], Z[rows])
+            regular, dz = _tangents(H, Z[rows], T[rows])
             # a path whose tangent is singular fails its step, standing still
-            DZ[rows] = np.where(regular[:, None],
-                                lu_solve_factored(factored, -H.dh_dt(values)), 0.0)
+            DZ[rows] = np.where(regular[:, None], dz, 0.0)
             has_dz[rows] = regular
         # Before the tail, the prediction is the cubic through the last two
         # accepted points, and the corrector takes at least one Newton step:
@@ -504,15 +477,15 @@ def track_stage(H: HomotopyPair, starts) -> List[PathResult]:
             T_new = np.concatenate([T_new, np.ones(trying.size)])
             tight = np.concatenate([tight, np.ones(trying.size, dtype=bool)])
         iters = np.where(tight, STEP_ITERS, NEWTON_ITERS)
-        Z_new, ok, regular, factored, dh_dt = _correct(H, Z_pred, T_new, iters, active,
-                                                       must_step)
+        Z_new, ok, regular, factored, evaluated = _correct(H, Z_pred, H.weights(T_new), iters,
+                                                           active, must_step)
         # corrector success also requires the correction to stay small
         # against the predicted move; a large pull-back means the iteration
         # latched onto a different path
         move = np.abs(Z_pred - Z_from).max(axis=1)
         corr = np.abs(Z_new - Z_pred).max(axis=1)
         ok &= ~tight | (corr <= np.maximum(0.5 * move, 10 * NEWTON_TOL * (1.0 + norm_from)))
-        dz_next = lu_solve_factored(factored, -dh_dt)
+        dz_next = lu_solve_factored(factored, -H.dh_dt(evaluated[2]))
         tries = ()
         if trying.size:
             tries = zip(trying[ok[P:]], Z_new[P:][ok[P:]])

@@ -87,17 +87,15 @@ def full_rank_check(f: PolySystem, sample_points) -> List[dict]:
     """Advisory Jacobian-rank report at sample points near V(f): the rank
     counts singular values above 1e-8 times the largest."""
     k = len(f)
-    ev = SystemEvaluator(f)
-    report = []
-    for pt in sample_points:
-        pt = np.asarray(pt, dtype=complex)
-        s = np.linalg.svd(ev.jacobian(pt), compute_uv=False)
-        r = int((s > 1e-8 * s.max(initial=0.0)).sum())
-        deficient = r < k
-        if deficient:
-            logger.warning("rank-deficient Jacobian (rank %d < %d) at sample", r, k)
-        report.append({"point": pt, "rank": r, "deficient": deficient})
-    return report
+    points = np.array(sample_points, dtype=complex).reshape(-1, f.n_vars)
+    if not len(points):
+        return []
+    s = np.linalg.svd(SystemEvaluator(f).evaluate(points)[0][:, :, 1:], compute_uv=False)
+    ranks = (s > 1e-8 * s.max(axis=1, initial=0.0, keepdims=True)).sum(axis=1)
+    for r in ranks[ranks < k]:
+        logger.warning("rank-deficient Jacobian (rank %d < %d) at sample", r, k)
+    return [{"point": pt, "rank": int(r), "deficient": bool(r < k)}
+            for pt, r in zip(points, ranks)]
 
 
 def real_witness_set(
@@ -122,8 +120,10 @@ def real_witness_set(
     if beta is None:
         beta = objective()
     n_stages = n - k0
-    # the stages without a given c draw one
     c_values = [] if c_values is None else [float(c) for c in c_values]
+    if len(c_values) > n_stages:
+        raise ValueError(f"{len(c_values)} c values given for {n_stages} stages")
+    # the stages without a given c draw one
     c_values += [float(rng.uniform(-5, 5)) for _ in range(n_stages - len(c_values))]
     betas = [np.asarray(beta, dtype=float)] + [objective() for _ in range(1, n_stages)]
 

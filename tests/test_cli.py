@@ -181,6 +181,13 @@ def test_witness_beta_c_flags(sextic_file, capsys):
     assert any(abs(x + 1.44299) < 1e-4 and abs(y + 1.32941) < 1e-4 for x, y in pts)
 
 
+def test_witness_rejects_more_c_values_than_stages(circle_file, capsys):
+    assert main(["witness", circle_file, "--json", "--c", "0.5,7,9"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3 c values given for 1 stages" in captured.err
+
+
 def test_bound_circle(circle_file, capsys):
     assert main(["bound", circle_file, "--seed", "0", "--json"]) == EXIT_OK
     doc = json.loads(capsys.readouterr().out)

@@ -3,10 +3,12 @@ import pytest
 
 import lph.tracker
 from lph.poly import parse, parse_poly, PolySystem
+from lph.linalg import SingularMatrixError
 from lph.tracker import (
     CONVERGED,
     DIVERGENT,
     FAILED,
+    NEWTON_ITERS,
     START_REJECTED,
     HomotopyPair,
     NoConvergenceError,
@@ -15,6 +17,7 @@ from lph.tracker import (
     davidenko_rhs,
     hermite_predict,
     newton_correct,
+    refine_endpoint,
     residual_within,
     track_path,
     track_stage,
@@ -28,6 +31,11 @@ def _pair(start_text, target_text, var_names, gamma=1.0):
     start = parse(start_text, var_names)
     target = parse(target_text, var_names)
     return HomotopyPair(start, target, gamma)
+
+
+def _h(H, z, t):
+    """H(z, t) at one point: its row of a stack of one."""
+    return H.evaluate(z[None], H.weights(np.array([t])))[0][0, :, 0]
 
 
 def _magnitudes(system, z):
@@ -62,33 +70,35 @@ def test_pair_matches_direct_evaluation():
     for start, target in ((G, F), (F, F)):
         H = HomotopyPair(start, target, gamma)
         Z = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        h_dz, scale, values = H.evaluate(Z, H.weights(T))
+        h_dz, scale, values, f_magnitude = H.evaluate(Z, H.weights(T))
         for p, (z, t) in enumerate(zip(Z, T)):
             g, f = start.evaluate(z), target.evaluate(z)
             dh_dz = (1 - t) * _jacobian(start, z) + gamma * t * _jacobian(target, z)
             mg, mf = _magnitudes(start, z).max(), _magnitudes(target, z).max()
-            assert np.allclose(H.eval_h(z, t), (1 - t) * g + gamma * t * f)
+            # the point alone, as a stack of one
+            h_one, scale_one, _, _ = H.evaluate(z[None], H.weights(np.array([t])))
+            assert np.allclose(h_one[0, :, 0], (1 - t) * g + gamma * t * f)
             assert np.allclose(h_dz[p, :, 0], (1 - t) * g + gamma * t * f)
-            assert np.allclose(H.eval_dh_dz(z, t), dh_dz)
+            assert np.allclose(h_one[0, :, 1:], dh_dz)
             assert np.allclose(h_dz[p, :, 1:], dh_dz)
             assert np.allclose(H.dh_dt(values)[p], gamma * f - g)
-            assert np.allclose(H.target_values(z), f)
-            assert H.scale(z, t) == pytest.approx((1 - t) * mg + abs(gamma) * t * mf)
+            assert np.allclose(values[p, 2:], f)
+            assert scale_one[0] == pytest.approx((1 - t) * mg + abs(gamma) * t * mf)
             assert scale[p] == pytest.approx((1 - t) * mg + abs(gamma) * t * mf)
-            assert H.target_magnitude(z) == pytest.approx(mf)
+            assert f_magnitude[p] == pytest.approx(mf)
 
 
 def test_homotopy_boundaries():
     H = _pair("x - 1", "x - 3", X, gamma=0.5j)
     z = np.array([2.5 + 0.1j])
-    assert np.allclose(H.eval_h(z, 0.0), (z - 1))
-    assert np.allclose(H.eval_h(z, 1.0), 0.5j * (z - 3))
+    assert np.allclose(_h(H, z, 0.0), (z - 1))
+    assert np.allclose(_h(H, z, 1.0), 0.5j * (z - 3))
 
 
 def test_homotopy_midpoint_hand_expansion():
     H = _pair("x - 1", "x - 3", X, gamma=1.0)
     z = np.array([5.0 + 0j])
-    assert H.eval_h(z, 0.5)[0] == pytest.approx(z[0] - 2)
+    assert _h(H, z, 0.5)[0] == pytest.approx(z[0] - 2)
 
 
 def test_homotopy_shape_mismatch():
@@ -139,6 +149,52 @@ def test_davidenko_constant_velocity_path():
 def test_davidenko_stationary_when_start_equals_target():
     H = _pair("x - 1", "x - 1", X)
     assert davidenko_rhs(H, np.array([1.0 + 0j]), 0.0)[0] == pytest.approx(0.0)
+
+
+def test_davidenko_raises_on_a_singular_jacobian():
+    # x^2 - 1 has a zero derivative at x = 0, on both systems
+    H = _pair("x^2 - 1", "x^2 - 4", X)
+    with pytest.raises(SingularMatrixError):
+        davidenko_rhs(H, np.array([0j]), 0.5)
+
+
+def test_newton_and_refine_endpoint_are_rows_of_a_corrector_stack(monkeypatch):
+    # one Newton loop: a point corrected alone has the bytes of its row in a
+    # stack of several, each row at its own t
+    H = _pair("x^2 - 1\ny^2 - 1", "x^2 - 5\ny^2 + x - 3", XY, gamma=0.28 + 0.96j)
+    r5 = np.sqrt(5.0)
+    roots = {0.0: [(1, 1), (-1, 1), (1, -1)],
+             1.0: [(r5, np.sqrt(3 - r5)), (-r5, np.sqrt(3 + r5)), (r5, -np.sqrt(3 - r5))]}
+    T = np.repeat([0.0, 1.0], 3)
+    Z0 = np.array([root for t in (0.0, 1.0) for root in roots[t]], dtype=complex)
+    Z0 = Z0 + 1e-3 * np.random.default_rng(11).normal(size=Z0.shape)
+    P = len(Z0)
+
+    def stack(Z, T):
+        return lph.tracker._correct(H, Z, H.weights(T), np.full(len(Z), NEWTON_ITERS),
+                                    np.ones(len(Z), dtype=bool), np.zeros(len(Z), dtype=bool))
+
+    Z, passed = stack(Z0, T)[:2]
+    assert passed.all()
+    for p in range(P):
+        assert newton_correct(H, Z0[p], T[p]).tobytes() == Z[p].tobytes()
+    # refine_endpoint's Newton, at t = 1, returns the point's row of that
+    # stack, and its polish continues from there
+    at_one = T == 1.0
+    Z1 = stack(Z0[at_one], T[at_one])[0]
+    rows = []
+    original = lph.tracker._correct
+
+    def recording(*args, **kwargs):
+        out = original(*args, **kwargs)
+        rows.append(out[0][0].copy())
+        return out
+
+    monkeypatch.setattr(lph.tracker, "_correct", recording)
+    for z0, z1 in zip(Z0[at_one], Z1):
+        refined = refine_endpoint(H, z0)
+        assert rows.pop().tobytes() == z1.tobytes()
+        assert refined[0].tobytes() == refine_endpoint(H, z1)[0].tobytes()
 
 
 def test_davidenko_matches_path_finite_difference():
@@ -244,8 +300,8 @@ def test_converged_residual_contract():
 
 
 def test_path_result_does_not_depend_on_earlier_paths():
-    # the monomial table of a pair keeps the last point evaluated; a path's
-    # result must not depend on what the pair or another pair tracked before
+    # an evaluator keeps nothing between calls: a path's result must not
+    # depend on what the pair or another pair tracked before
     def pair():
         return _pair("x^2 - 1\ny^2 - 1", "x^2 - 5\ny^2 + x - 3", XY, gamma=0.28 + 0.96j)
 

@@ -172,6 +172,13 @@ def test_real_witness_set_rejects_overdetermined():
         real_witness_set(f)
 
 
+def test_real_witness_set_rejects_more_c_values_than_stages():
+    # the circle has one stage; its extra c values would be echoed unused
+    with pytest.raises(ValueError, match="3 c values given for 1 stages"):
+        real_witness_set(_circle(), c_values=[0.5, 7.0, 9.0])
+    assert real_witness_set(_circle(), c_values=[0.5]).c_values == [0.5]
+
+
 CYLINDERS = [
     ["x^2 + y^2 - 1"],
     ["x^2 + y^2 - 1", "(x - 3)^2 + y^2 - 1"],
